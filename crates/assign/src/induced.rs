@@ -13,31 +13,15 @@ use crate::dense::DensePointSpace;
 use crate::error::AssignError;
 use crate::plan::SamplePlan;
 use crate::sample::Assignment;
+use crate::shard::ShardMap;
 use kpa_measure::{BlockSpace, MemberSet, Rat};
 use kpa_system::{AgentId, PointId, PointSet, System};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// The probability space the construction of Proposition 2 assigns to an
 /// agent at a point: a [`BlockSpace`] over points whose blocks are runs.
 pub type PointSpace = BlockSpace<PointId>;
-
-/// Cache from (agent, sample bitset) to the induced space — wrapped in
-/// its precomputed dense measure kernel. [`PointSet`]
-/// hashes its words directly, so the key costs one word sweep. Guarded
-/// by [`Mutex`]es (not `RefCell`) so a `ProbAssignment` can be shared by
-/// reference across the workers of a `kpa-pool` parallel sweep; locks
-/// are held only for the lookup/insert, never while a space is built,
-/// so concurrent builders of the same key simply race to insert
-/// structurally identical spaces — results are unaffected.
-type SpaceCache = HashMap<(AgentId, PointSet), Arc<DensePointSpace>>;
-
-/// The cache is split into shards selected by a cheap pre-hash of the
-/// sample. `HashMap` hashes the full word vector of the key *inside*
-/// the shard lock; with one global lock that word sweep serializes
-/// every worker of a parallel sweep, while 16 shards make simultaneous
-/// collisions rare at the pool's thread counts.
-const SPACE_SHARDS: usize = 16;
 
 /// A probability assignment `P`: for every agent `pᵢ` and point `c`, the
 /// probability space `(S_ic, X_ic, μ_ic)` induced by a sample-space
@@ -89,7 +73,12 @@ pub struct ProbAssignment<'s> {
 #[derive(Debug)]
 pub struct AssignCore {
     assignment: Assignment,
-    cache: [Mutex<SpaceCache>; SPACE_SHARDS],
+    /// (agent, sample bitset) → the induced space, wrapped in its
+    /// precomputed dense measure kernel. Locks are held only for the
+    /// lookup/insert, never while a space is built, so concurrent
+    /// builders of one key race to insert structurally identical
+    /// spaces — results are unaffected.
+    cache: ShardMap<(AgentId, PointSet), Arc<DensePointSpace>>,
     /// Per-agent batched sample plans, built lazily on first request.
     /// `OnceLock` gives each agent exactly one builder — racers block
     /// on the winner instead of redundantly walking the whole system —
@@ -107,7 +96,7 @@ impl AssignCore {
     pub fn new(assignment: Assignment, agent_count: usize) -> AssignCore {
         AssignCore {
             assignment,
-            cache: std::array::from_fn(|_| Mutex::new(SpaceCache::new())),
+            cache: ShardMap::new("assign.space_cache"),
             plans: (0..agent_count).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -163,23 +152,21 @@ impl AssignCore {
         if !sample.is_subset(sys.tree_set(first.tree)) {
             return Err(AssignError::Req1Violated { agent, point: c });
         }
-        let shard_idx = shard_index(agent, first, sample.len());
-        let shard = &self.cache[shard_idx];
-        if let Some(space) = lock(shard).get(&(agent, sample.clone())) {
-            trace_space_cache(shard_idx, true);
-            return Ok(Arc::clone(space));
+        let key = (agent, sample);
+        if let Some(space) = self.cache.get(&key) {
+            kpa_trace::count!("assign.space_cache_hit");
+            return Ok(space);
         }
-        trace_space_cache(shard_idx, false);
+        kpa_trace::count!("assign.space_cache_miss");
         // Built outside the lock: concurrent sweeps may construct the
         // same space twice, but the entries are structurally equal, so
         // whichever insert wins the results are identical.
+        let sample = &key.1;
         let universe = Arc::clone(sample.universe());
         let pairs = sample.iter().map(|p| (p, p.run_id()));
         let space = BlockSpace::new(pairs, |run| sys.run_prob(*run))?;
         let space = Arc::new(DensePointSpace::new(space, universe));
-        Ok(Arc::clone(
-            lock(shard).entry((agent, sample)).or_insert(space),
-        ))
+        Ok(self.cache.insert_or_get(key, space))
     }
 
     /// The batched [`SamplePlan`] for `agent` — see
@@ -556,61 +543,6 @@ impl<'s> ProbAssignment<'s> {
         }
         true
     }
-}
-
-/// Cheap shard selector: mixes the agent, the sample's first point, and
-/// its cardinality — enough to spread the distinct samples of one sweep
-/// (which differ in exactly those coordinates) across the shards
-/// without touching the sample's full word vector.
-fn shard_index(agent: AgentId, first: PointId, len: usize) -> usize {
-    let mix = (agent.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (first.run as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ (first.time as u64).wrapping_mul(0x94D0_49BB_1331_11EB)
-        ^ (first.tree.0 as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
-        ^ (len as u64);
-    (mix.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize % SPACE_SHARDS
-}
-
-/// Bumps the hit or miss counter of one space-cache shard (plus the
-/// cross-shard aggregate). The per-shard `&'static Counter` pairs are
-/// resolved once — the registry's name map is consulted only on the
-/// first traced lookup of the process — and the whole function is a
-/// single relaxed load while tracing is off. Shard names are the one
-/// place the workspace uses dynamically built metric names, which is
-/// why this calls `Registry::counter` directly instead of the
-/// constant-name `count!` macro.
-fn trace_space_cache(shard: usize, hit: bool) {
-    if !kpa_trace::enabled() {
-        return;
-    }
-    type ShardCounters = Vec<(&'static kpa_trace::Counter, &'static kpa_trace::Counter)>;
-    static SLOTS: std::sync::OnceLock<ShardCounters> = std::sync::OnceLock::new();
-    let slots = SLOTS.get_or_init(|| {
-        let reg = kpa_trace::registry();
-        (0..SPACE_SHARDS)
-            .map(|s| {
-                (
-                    reg.counter(&format!("assign.space_cache.shard{s:02}.hit")),
-                    reg.counter(&format!("assign.space_cache.shard{s:02}.miss")),
-                )
-            })
-            .collect()
-    });
-    let (hits, misses) = slots[shard];
-    if hit {
-        hits.incr();
-        kpa_trace::count!("assign.space_cache_hit");
-    } else {
-        misses.incr();
-        kpa_trace::count!("assign.space_cache_miss");
-    }
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock. The cache
-/// holds only finished, immutable [`Arc<PointSpace>`] entries, so a
-/// panic elsewhere can never leave it in a torn state.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -4,11 +4,10 @@
 //! locked shards selected by a deterministic hash of the key, so
 //! concurrent queries against one shared artifact contend only when two
 //! threads touch the *same shard* at the *same instant* — instead of
-//! serializing every memo lookup on one global mutex, which is exactly
-//! what the pre-refactor `Model` memos did. The space cache's 16-way
-//! sharding (see `induced.rs`) is the in-repo exemplar this generalizes;
-//! `ShardMap` packages the same idea behind a reusable type with
-//! built-in `kpa-trace` instrumentation:
+//! serializing every memo lookup on one global mutex. Every sharded
+//! cache in the evaluation stack — the assignment core's space cache
+//! and the artifact's memos — is a `ShardMap`, with built-in
+//! `kpa-trace` instrumentation:
 //!
 //! * `{name}.shardNN.hit` / `{name}.shardNN.miss` — per-shard lookup
 //!   outcomes (dynamic names, resolved once per map via the registry);
@@ -29,13 +28,13 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
-/// Default shard count: matches the space cache's fan-out, chosen so
-/// simultaneous collisions are rare at `kpa-pool`'s thread counts.
+/// Default shard count, chosen so simultaneous collisions are rare at
+/// `kpa-pool`'s thread counts.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Per-map trace handles, resolved lazily on the first traced
 /// operation (the registry's name map is consulted once per map, not
-/// per lookup — the `trace_space_cache` pattern).
+/// per lookup).
 struct Slots {
     /// `(hit, miss)` counter pair per shard.
     per_shard: Vec<(&'static kpa_trace::Counter, &'static kpa_trace::Counter)>,

@@ -36,9 +36,11 @@
 //! `windowed` and `spans` sections end to end.
 //!
 //! Run with `cargo bench -p kpa-bench --bench kernel`. Set
-//! `KPA_BENCH_JSON=BENCH_5.json` (or use `scripts/bench.sh`) to emit
-//! the rows as machine-readable JSON, and `KPA_TRACE_JSON=TRACE_10.json`
-//! to emit the traced pass's counter report.
+//! `KPA_BENCH_JSON=/abs/kernel.json` to emit the rows as
+//! machine-readable JSON and `KPA_TRACE_JSON=/abs/trace.json` to emit
+//! the traced pass's counter report; `scripts/bench.sh` does both and
+//! gates them against `baselines/kernel.json` and
+//! `baselines/trace.json`.
 
 use kpa_assign::{Assignment, ProbAssignment};
 use kpa_logic::{Formula, Model};
@@ -473,7 +475,7 @@ fn main() {
     // that the "dense" rows actually took the dense path rather than
     // silently falling back to the generic scan.
     // ------------------------------------------------------------------
-    kpa_trace::Trace::enabled(true);
+    kpa_trace::set_enabled(true);
     kpa_trace::registry().reset();
     let mut row_deltas: std::collections::BTreeMap<
         String,
@@ -614,33 +616,19 @@ fn main() {
             .unwrap_or_else(|e| panic!("failed to write {tpath}: {e}"));
         println!("wrote {tpath}");
     }
-    kpa_trace::Trace::enabled(false);
+    kpa_trace::set_enabled(false);
 
-    // ------------------------------------------------------------------
-    // Machine-readable rows (BENCH_5.json) when KPA_BENCH_JSON is set —
-    // see scripts/bench.sh.
-    // ------------------------------------------------------------------
-    if let Ok(path) = std::env::var("KPA_BENCH_JSON") {
-        let mut out = String::from("{\n  \"bench\": \"kernel\",\n");
-        out.push_str(&format!("  \"points\": {n_points},\n  \"reps\": {reps},\n"));
-        out.push_str("  \"rows\": [\n");
-        for (i, (label, d)) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"label\": \"{label}\", \"seconds\": {}}}{comma}\n",
-                d.as_secs_f64()
-            ));
-        }
-        out.push_str("  ],\n  \"speedups\": {\n");
-        out.push_str(&format!("    \"sat_bitset_vs_btreeset\": {speedup},\n"));
-        out.push_str(&format!("    \"par_sat_threads4_vs_1\": {par_speedup},\n"));
-        out.push_str(&format!(
-            "    \"measure_dense_vs_generic\": {measure_speedup},\n"
-        ));
-        out.push_str(&format!("    \"pr_ge_dag_on_vs_off\": {dag_speedup},\n"));
-        out.push_str(&format!("    \"pr_ge_plan_on_vs_off\": {plan_speedup}\n"));
-        out.push_str("  }\n}\n");
-        std::fs::write(&path, &out).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
+    kpa_bench::write_bench_json(
+        "kernel",
+        n_points,
+        reps,
+        &rows,
+        &[
+            ("sat_bitset_vs_btreeset", speedup),
+            ("par_sat_threads4_vs_1", par_speedup),
+            ("measure_dense_vs_generic", measure_speedup),
+            ("pr_ge_dag_on_vs_off", dag_speedup),
+            ("pr_ge_plan_on_vs_off", plan_speedup),
+        ],
+    );
 }

@@ -1,10 +1,9 @@
-//! The size ladder: per-point throughput from 10⁴ to 10⁶ (and,
-//! opt-in, 10⁷) points.
+//! The size ladder: per-point throughput from 10⁴ to 10⁶ points.
 //!
 //! Every other bench tops out at ~11k points; this one builds the
-//! asynchronous coin-toss system at three (optionally four) rungs —
-//! `async_coin_tosses(n)` has 2ⁿ runs × (n+1) times, so n = 10/13/16/19
-//! lands at 1.1×10⁴ / 1.1×10⁵ / 1.1×10⁶ / 1.0×10⁷ points — and times
+//! asynchronous coin-toss system at three rungs —
+//! `async_coin_tosses(n)` has 2ⁿ runs × (n+1) times, so n = 10/13/16
+//! lands at 1.1×10⁴ / 1.1×10⁵ / 1.1×10⁶ points — and times
 //! four workloads per rung, reporting each as points per second so the
 //! rungs are comparable:
 //!
@@ -21,15 +20,10 @@
 //! must win by ≥ 2× (the `ladder_wide_vs_narrow_1e6` gate in
 //! `scripts/check_bench.py`, profile `scale`).
 //!
-//! The 10⁷ rung is wired but **off by default** (`KPA_LADDER_1E7=1`
-//! enables it): building it takes tens of seconds and the CI container
-//! has one CPU, so the default ladder keeps the bench-smoke step fast
-//! while the rung stays one environment variable away. Its speedup
-//! keys are `excluded` in the gate profile for the same reason.
-//!
 //! Run with `cargo bench -p kpa-bench --bench ladder`. Set
-//! `KPA_BENCH_JSON=BENCH_9.json` (or use `scripts/bench.sh`) to emit
-//! the rows as machine-readable JSON.
+//! `KPA_BENCH_JSON=/abs/path.json` (or use `scripts/bench.sh`, which
+//! gates it against `baselines/ladder.json`) to emit the rows as
+//! machine-readable JSON.
 
 use kpa_assign::{Assignment, ProbAssignment};
 use kpa_logic::{Formula, Model};
@@ -145,7 +139,7 @@ fn main() {
     let mut speedups: Vec<(String, f64)> = Vec::new();
     let mut max_points = 0usize;
 
-    let mut rungs = vec![
+    let rungs = [
         Rung {
             label: "1e4",
             coins: 10,
@@ -159,14 +153,6 @@ fn main() {
             coins: 16,
         },
     ];
-    // The 10⁷ rung: present in the ladder, excluded from the default
-    // run (and from the gate) — see the module docs.
-    if std::env::var("KPA_LADDER_1E7").is_ok_and(|v| !v.is_empty() && v != "0") {
-        rungs.push(Rung {
-            label: "1e7",
-            coins: 19,
-        });
-    }
 
     let p1 = AgentId(0);
     let p2 = AgentId(1);
@@ -302,30 +288,5 @@ fn main() {
         rungs.len()
     );
 
-    // ------------------------------------------------------------------
-    // Machine-readable rows (BENCH_9.json) when KPA_BENCH_JSON is set —
-    // see scripts/bench.sh.
-    // ------------------------------------------------------------------
-    if let Ok(path) = std::env::var("KPA_BENCH_JSON") {
-        let mut out = String::from("{\n  \"bench\": \"scale\",\n");
-        out.push_str(&format!(
-            "  \"points\": {max_points},\n  \"reps\": {reps},\n"
-        ));
-        out.push_str("  \"rows\": [\n");
-        for (i, (label, d)) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"label\": \"{label}\", \"seconds\": {}}}{comma}\n",
-                d.as_secs_f64()
-            ));
-        }
-        out.push_str("  ],\n  \"speedups\": {\n");
-        for (i, (key, v)) in speedups.iter().enumerate() {
-            let comma = if i + 1 == speedups.len() { "" } else { "," };
-            out.push_str(&format!("    \"{key}\": {v}{comma}\n"));
-        }
-        out.push_str("  }\n}\n");
-        std::fs::write(&path, &out).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
+    kpa_bench::write_bench_json("scale", max_points, reps, &rows, &speedups);
 }

@@ -33,8 +33,9 @@
 //! maps (not some bypass) answered the queries.
 //!
 //! Run with `cargo bench -p kpa-bench --bench shared`. Set
-//! `KPA_BENCH_JSON=BENCH_6.json` (or use `scripts/bench.sh`) to emit
-//! the rows as machine-readable JSON.
+//! `KPA_BENCH_JSON=/abs/path.json` (or use `scripts/bench.sh`, which
+//! gates it against `baselines/shared.json`) to emit the rows as
+//! machine-readable JSON.
 
 use kpa_assign::{Assignment, ProbAssignment, ShardMap};
 use kpa_logic::{Formula, Model, ModelArtifact};
@@ -111,15 +112,15 @@ fn shared_pass(artifact: &Arc<ModelArtifact>, family: &[Formula], threads: usize
 }
 
 /// One hammer pass: `HAMMER_THREADS` threads interleaving lookups and
-/// first-insert-wins inserts over an overlapping key space on a fresh
-/// map with the given shard count. A 1-shard map is the global-mutex
-/// memo the refactor replaced; 16 shards is the artifact's layout.
-fn hammer_pass(name: &'static str, shards: usize) -> usize {
-    let map: ShardMap<u64, Arc<u64>> = ShardMap::with_shards(name, shards);
+/// first-insert-wins inserts over an overlapping key space on `map`.
+/// A 1-shard map is the global-mutex memo the refactor replaced; 16
+/// shards is the artifact's layout. Returns the sum of the values the
+/// lookups found; which lookups hit depends on thread timing, so only
+/// the map's final contents are a pure function of the workload.
+fn hammer_pass(map: &ShardMap<u64, Arc<u64>>) -> usize {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..HAMMER_THREADS)
             .map(|t| {
-                let map = &map;
                 scope.spawn(move || {
                     let mut found = 0usize;
                     for j in 0..HAMMER_OPS {
@@ -210,20 +211,29 @@ fn main() {
     // 16-shard map and on a 1-shard map (= one mutex around one
     // HashMap, the pre-refactor memo layout).
     // ------------------------------------------------------------------
-    let check16 = hammer_pass("bench.hammer_check16", 16);
-    let check1 = hammer_pass("bench.hammer_check1", 1);
+    let contents = |name, shards| {
+        let map = ShardMap::with_shards(name, shards);
+        hammer_pass(&map);
+        let mut entries = map.fold(Vec::new(), |mut acc, &k, v: &Arc<u64>| {
+            acc.push((k, **v));
+            acc
+        });
+        entries.sort_unstable();
+        entries
+    };
     assert_eq!(
-        check16, check1,
+        contents("bench.hammer_check16", 16),
+        contents("bench.hammer_check1", 1),
         "shard count must be observationally invisible"
     );
     let sharded = kpa_bench::bench_time(
         &format!("memo_hammer/shards=16/{HAMMER_KEYS}"),
         reps,
-        || hammer_pass("bench.hammer16", 16),
+        || hammer_pass(&ShardMap::with_shards("bench.hammer16", 16)),
     );
     let mutexed =
         kpa_bench::bench_time(&format!("memo_hammer/shards=1/{HAMMER_KEYS}"), reps, || {
-            hammer_pass("bench.hammer1", 1)
+            hammer_pass(&ShardMap::with_shards("bench.hammer1", 1))
         });
     rows.push((format!("memo_hammer/shards=16/{HAMMER_KEYS}"), sharded));
     rows.push((format!("memo_hammer/shards=1/{HAMMER_KEYS}"), mutexed));
@@ -243,7 +253,7 @@ fn main() {
     // cold misses and the warm hits, then report per-map totals. Runs
     // strictly after every timed section.
     // ------------------------------------------------------------------
-    kpa_trace::Trace::enabled(true);
+    kpa_trace::set_enabled(true);
     kpa_trace::registry().reset();
     let before = kpa_trace::registry().snapshot();
     let traced_artifact = Arc::new(ModelArtifact::new(
@@ -281,31 +291,17 @@ fn main() {
         sat_cache_hits > 0,
         "the warm clients must answer from the sharded formula cache"
     );
-    kpa_trace::Trace::enabled(false);
+    kpa_trace::set_enabled(false);
 
-    // ------------------------------------------------------------------
-    // Machine-readable rows (BENCH_6.json) when KPA_BENCH_JSON is set —
-    // see scripts/bench.sh.
-    // ------------------------------------------------------------------
-    if let Ok(path) = std::env::var("KPA_BENCH_JSON") {
-        let mut out = String::from("{\n  \"bench\": \"shared\",\n");
-        out.push_str(&format!("  \"points\": {n_points},\n  \"reps\": {reps},\n"));
-        out.push_str("  \"rows\": [\n");
-        for (i, (label, d)) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"label\": \"{label}\", \"seconds\": {}}}{comma}\n",
-                d.as_secs_f64()
-            ));
-        }
-        out.push_str("  ],\n  \"speedups\": {\n");
-        out.push_str(&format!("    \"shared_artifact_qps\": {qps},\n"));
-        out.push_str(&format!(
-            "    \"shared_threads4_vs_1\": {thread_scaling},\n"
-        ));
-        out.push_str(&format!("    \"sharded_memo_vs_mutex\": {shard_speedup}\n"));
-        out.push_str("  }\n}\n");
-        std::fs::write(&path, &out).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
+    kpa_bench::write_bench_json(
+        "shared",
+        n_points,
+        reps,
+        &rows,
+        &[
+            ("shared_artifact_qps", qps),
+            ("shared_threads4_vs_1", thread_scaling),
+            ("sharded_memo_vs_mutex", shard_speedup),
+        ],
+    );
 }

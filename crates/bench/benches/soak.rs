@@ -18,7 +18,7 @@
 //!    server whose sessions share a single cached artifact. The
 //!    aggregate rate of the concurrent row is exported as `serve_qps`
 //!    (host-dependent; the gate requires presence and positivity,
-//!    like `shared_artifact_qps` in BENCH_6).
+//!    like `shared_artifact_qps` in the `shared` bench).
 //!
 //! 3. **Latency histogram** — after the timed rows the server's
 //!    process scope is snapshotted and the `proc.frame_ns` histogram's
@@ -34,8 +34,9 @@
 //! single-core runners.
 //!
 //! Run with `cargo bench -p kpa-bench --bench soak`. Set
-//! `KPA_BENCH_JSON=BENCH_7.json` (or use `scripts/bench.sh`) to emit
-//! the rows as machine-readable JSON.
+//! `KPA_BENCH_JSON=/abs/path.json` (or use `scripts/bench.sh`, which
+//! gates it against `baselines/soak.json`) to emit the rows as
+//! machine-readable JSON.
 
 use kpa_assign::ProbAssignment;
 use kpa_logic::{parse_in, Model};
@@ -51,7 +52,7 @@ const CLIENTS: usize = 4;
 const ROUNDS: usize = 25;
 
 /// The walkthrough system under soak — same point count as the
-/// BENCH_6 shared-artifact rows, so the wire overhead is read off by
+/// `shared` bench's artifact rows, so the wire overhead is read off by
 /// comparing the two files' query rates.
 const SYSTEM: &str = "async-coins:8";
 const ASSIGNMENT: &str = "post";
@@ -262,28 +263,16 @@ fn main() {
 
     server.shutdown();
 
-    // ------------------------------------------------------------------
-    // Machine-readable rows (BENCH_7.json) when KPA_BENCH_JSON is set —
-    // see scripts/bench.sh.
-    // ------------------------------------------------------------------
-    if let Ok(path) = std::env::var("KPA_BENCH_JSON") {
-        let mut out = String::from("{\n  \"bench\": \"serve\",\n");
-        out.push_str(&format!("  \"points\": {n_points},\n  \"reps\": {reps},\n"));
-        out.push_str("  \"rows\": [\n");
-        for (i, (label, d)) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"label\": \"{label}\", \"seconds\": {}}}{comma}\n",
-                d.as_secs_f64()
-            ));
-        }
-        out.push_str("  ],\n  \"speedups\": {\n");
-        out.push_str(&format!("    \"serve_qps\": {qps},\n"));
-        out.push_str(&format!("    \"serve_frame_p50_ns\": {p50_ns},\n"));
-        out.push_str(&format!("    \"serve_frame_p99_ns\": {p99_ns},\n"));
-        out.push_str(&format!("    \"serve_clients4_vs_1\": {client_scaling}\n"));
-        out.push_str("  }\n}\n");
-        std::fs::write(&path, &out).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
+    kpa_bench::write_bench_json(
+        "serve",
+        n_points,
+        reps,
+        &rows,
+        &[
+            ("serve_qps", qps),
+            ("serve_frame_p50_ns", p50_ns as f64),
+            ("serve_frame_p99_ns", p99_ns as f64),
+            ("serve_clients4_vs_1", client_scaling),
+        ],
+    );
 }

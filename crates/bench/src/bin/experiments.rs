@@ -6,9 +6,9 @@
 
 fn main() {
     if std::env::args().any(|a| a == "--trace") {
-        kpa_trace::Trace::enabled(true);
+        kpa_trace::set_enabled(true);
     }
-    if kpa_trace::Trace::is_enabled() {
+    if kpa_trace::enabled() {
         kpa_trace::registry().reset();
     }
     let rows = kpa_bench::all_experiments();
@@ -31,7 +31,7 @@ fn main() {
         rows.len(),
         mismatches
     );
-    if kpa_trace::Trace::is_enabled() {
+    if kpa_trace::enabled() {
         print!("\n{}", kpa_trace::registry().snapshot().render_table());
     }
     if mismatches > 0 {

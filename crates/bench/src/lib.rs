@@ -17,7 +17,7 @@ mod experiments;
 mod rows;
 mod timing;
 
-pub use timing::{bench_time, default_reps};
+pub use timing::{bench_time, default_reps, write_bench_json};
 
 pub use experiments::{
     all_experiments, e01_vardi, e02_footnote5, e03_primality, e04_attack_pointwise,

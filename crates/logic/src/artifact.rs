@@ -433,13 +433,14 @@ impl EvalView<'_> {
         Ok(out)
     }
 
-    /// The one-sweep kernel behind [`EvalView::pr_ge_family`]: walk the
-    /// points once, resolve each point's space once (plan table first,
-    /// per-point fallback on the exact points the serial sweep falls
-    /// back on), compute each distinct space's inner measure once, and
-    /// emit one verdict bit per α. Thresholding is exact — measures
-    /// are exact rationals, so `inner ≥ α` per class is precisely what
-    /// k independent sweeps would compute.
+    /// The one-sweep kernel behind [`EvalView::pr_ge_family`] and (with
+    /// k = 1) [`EvalView::pr_ge_set`]: walk the points once, resolve
+    /// each point's space once (plan table first, per-point fallback on
+    /// the points the plan has no entry for), compute each distinct
+    /// space's inner measure once, and emit one verdict bit per α.
+    /// Thresholding is exact — measures are exact rationals, so
+    /// `inner ≥ α` per class is precisely what k independent sweeps
+    /// would compute.
     fn family_sweep(
         &self,
         agent: AgentId,
@@ -457,7 +458,9 @@ impl EvalView<'_> {
             s.tighten_footprint();
             s
         };
-        // Fetched once per sweep, outside the fan-out (see pr_ge_set).
+        // Fetched once per sweep, outside the fan-out, so chunks share
+        // one immutable table; the artifact's plan slots are write-once,
+        // so the warm fetch is a single atomic load.
         let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
         let partials = Pool::current().par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
             let mut accs: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
@@ -565,72 +568,22 @@ impl EvalView<'_> {
                 return Ok((*hit).clone());
             }
             kpa_trace::count!("logic.subterm_memo.miss");
-            let fresh = self.pr_ge_sweep(agent, alpha, sat)?;
+            let fresh = self.pr_ge_one(agent, alpha, sat)?;
             return Ok((*memo.insert_or_get(id, Arc::new(fresh))).clone());
         }
-        self.pr_ge_sweep(agent, alpha, sat)
+        self.pr_ge_one(agent, alpha, sat)
     }
 
-    /// The raw `Prᵢ(S) ≥ α` class sweep behind [`EvalView::pr_ge_set`],
-    /// bypassing the subterm memo (the per-class `Pr` memo and the
-    /// sample plan still apply).
-    fn pr_ge_sweep(
+    /// The raw `Prᵢ(S) ≥ α` class sweep behind [`EvalView::pr_ge_set`]:
+    /// the one-threshold family sweep, bypassing the subterm memo (the
+    /// per-class `Pr` memo and the sample plan still apply).
+    fn pr_ge_one(
         &self,
         agent: AgentId,
         alpha: Rat,
         sat: &PointSet,
     ) -> Result<PointSet, LogicError> {
-        let sys = self.sys;
-        let points: Vec<PointId> = sys.points().collect();
-        // As in family_sweep: tighten once so the per-class kernels get
-        // the exact footprint hint.
-        let sat = &{
-            let mut s = sat.clone();
-            s.tighten_footprint();
-            s
-        };
-        // Fetched once per sweep, outside the fan-out, so chunks share
-        // one immutable table; the artifact's plan slots are write-once,
-        // so the warm fetch is a single atomic load.
-        let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
-        let partials = Pool::current().par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
-            let mut acc = sys.empty_points();
-            let mut by_space: HashMap<*const DensePointSpace, bool> = HashMap::new();
-            let mut hits = 0u64;
-            let mut fallbacks = 0u64;
-            for &c in &points[range] {
-                let space = match plan.as_ref().and_then(|p| p.space(c)) {
-                    Some(space) => {
-                        hits += 1;
-                        Arc::clone(space)
-                    }
-                    None => {
-                        fallbacks += 1;
-                        self.core.space(sys, agent, c)?
-                    }
-                };
-                let key = Arc::as_ptr(&space);
-                let ok = match by_space.get(&key) {
-                    Some(&ok) => ok,
-                    None => {
-                        let ok = self.inner_of(&space, sat) >= alpha;
-                        by_space.insert(key, ok);
-                        ok
-                    }
-                };
-                if ok {
-                    acc.insert(c);
-                }
-            }
-            kpa_trace::count!("logic.plan_hit", hits);
-            kpa_trace::count!("logic.plan_fallback", fallbacks);
-            Ok::<PointSet, LogicError>(acc)
-        });
-        let mut acc = sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial?);
-        }
-        Ok(acc)
+        Ok(self.family_sweep(agent, &[alpha], sat)?.swap_remove(0))
     }
 
     /// The inner measure of `sat` in `space`, through the per-class
@@ -993,14 +946,6 @@ impl<'m> EvalCtx<'m> {
         self.tick();
         let _req = self.ambient();
         self.artifact.view().knows_set(agent, sat)
-    }
-
-    /// `knows_set` without consulting or filling the memo.
-    #[must_use]
-    pub fn knows_set_fresh(&self, agent: AgentId, sat: &PointSet) -> PointSet {
-        self.tick();
-        let _req = self.ambient();
-        self.artifact.view().knows_set_fresh(agent, sat)
     }
 
     /// `Prᵢ(S) ≥ α` as a set, through the artifact's shared memos.

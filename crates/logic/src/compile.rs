@@ -2,9 +2,9 @@
 //!
 //! Repeated queries against one model re-walk structurally identical
 //! `Formula` trees: a service batch asking about `K_1(p ∧ q)` fifty
-//! ways pays fifty traversals of the same subterm, and `BENCH_5.json`
-//! showed the per-class `Pr` memo winning ≈ nothing (`1.008×`) because
-//! the AST walk around it dominated. This module interns formulas into
+//! ways pays fifty traversals of the same subterm, and the pre-compiler
+//! kernel bench showed the per-class `Pr` memo winning ≈ nothing
+//! (`1.008×`) because the AST walk around it dominated. This module interns formulas into
 //! a [`FormulaArena`] — a shared, append-only table of distinct
 //! subterms with stable [`TermId`]s — so structural equality becomes
 //! integer-id equality and the evaluator can memoize satisfaction sets

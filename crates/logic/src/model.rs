@@ -102,16 +102,6 @@ impl<'a, 's> Model<'a, 's> {
         Model::with_memos(pa, true, true, true)
     }
 
-    /// Builds a model checker with the unified per-subterm memo
-    /// (historically the `knows_set` memo, which it subsumed)
-    /// explicitly on or off (the per-class `Pr` memo and the sample
-    /// plan stay on). Satisfaction sets are identical either way — the
-    /// knob exists so tests can prove exactly that.
-    #[must_use]
-    pub fn with_knows_memo(pa: &'a ProbAssignment<'s>, memo: bool) -> Model<'a, 's> {
-        Model::with_memos(pa, memo, true, true)
-    }
-
     /// Builds a model checker with each memo explicitly on or off:
     /// `knows` gates the unified per-subterm satisfaction-set memo
     /// (covering both the compiled DAG and raw-set
@@ -154,9 +144,8 @@ impl<'a, 's> Model<'a, 's> {
     }
 
     /// Whether the unified per-subterm memo — which subsumed the old
-    /// cross-formula `knows_set` memo — is enabled. The constructor
-    /// knob keeps its historical name (`with_knows_memo`) because the
-    /// differential suites use it to prove memo invisibility.
+    /// cross-formula `knows_set` memo — is enabled (the `knows` knob of
+    /// [`Model::with_memos`]).
     #[must_use]
     pub fn knows_memo_enabled(&self) -> bool {
         self.memos.terms.is_some()
@@ -561,7 +550,7 @@ mod tests {
         let sys = intro_system();
         let pa = ProbAssignment::new(&sys, Assignment::post());
         let with = Model::new(&pa);
-        let without = Model::with_knows_memo(&pa, false);
+        let without = Model::with_memos(&pa, false, true, true);
         assert!(with.knows_memo_enabled());
         assert!(!without.knows_memo_enabled());
         let g = [AgentId(0), AgentId(1), AgentId(2)];

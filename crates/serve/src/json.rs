@@ -164,21 +164,21 @@ impl std::error::Error for JsonError {}
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after value"));
     }
     Ok(v)
 }
 
+/// A cursor over the input. `pos` only ever steps over ASCII bytes or
+/// over a run of string characters that stops at an ASCII byte, so it
+/// always sits on a `char` boundary and `src` can be sliced there.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -188,7 +188,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -207,7 +207,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -338,14 +338,14 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 character. The input is a
-                    // `&str`, so slicing at the next char boundary is
-                    // always valid.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters, copied in one slice:
+                    // every byte that ends it is ASCII, so the run ends
+                    // on a char boundary.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -409,7 +409,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.src[start..self.pos];
         if integral {
             return match text.parse::<i64>() {
                 Ok(n) => Ok(Value::Int(n)),
@@ -452,6 +452,26 @@ mod tests {
         assert!(parse(r#""\udc00""#).is_err(), "lone low surrogate");
         assert!(parse("\"\u{1}\"").is_err(), "raw control character");
         assert!(parse(r#""\q""#).is_err(), "unknown escape");
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // ~400 KiB of 1-, 2-, 3- and 4-byte characters with escapes
+        // mixed in. A parser that re-validates the rest of the input
+        // per character takes tens of seconds here.
+        let chunk = "aé€😀\"\\\n";
+        let text = chunk.repeat(400 * 1024 / chunk.len());
+        let encoded = Value::str(text.as_str()).to_json();
+        let started = std::time::Instant::now();
+        let parsed = parse(&encoded).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert_eq!(parsed.to_json(), encoded);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing {} bytes took {elapsed:?}",
+            encoded.len()
+        );
     }
 
     #[test]

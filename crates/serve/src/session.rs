@@ -357,11 +357,9 @@ impl Session {
             Some(p) => Value::Str(p.key.clone()),
             None => Value::Null,
         };
-        let queries = self
-            .pinned
-            .as_ref()
-            .map(|p| p.artifact.ctx().queries())
-            .unwrap_or(0);
+        // The items this session has answered (across every artifact
+        // it pinned), i.e. its `session.queries` counter.
+        let queries = self.scope.counter("session.queries").get();
         ok_frame(
             "stats",
             id,
@@ -815,9 +813,13 @@ mod tests {
         s.handle(&env(
             r#"{"v":1,"op":"query","queries":[{"kind":"sat","formula":"c=h"}]}"#,
         ));
+        s.handle(&env(
+            r#"{"v":1,"op":"query","queries":[{"kind":"sat","formula":"c=t"},{"kind":"sat","formula":"true"}]}"#,
+        ));
         let (frame, _) = s.handle(&env(r#"{"v":1,"op":"stats"}"#));
+        assert_eq!(frame.get("ctx_queries").and_then(Value::as_int), Some(3));
         let text = frame.to_json();
-        assert!(text.contains("\"session.queries\":1"), "{text}");
+        assert!(text.contains("\"session.queries\":3"), "{text}");
         assert!(text.contains("\"session.loads\":1"), "{text}");
         assert!(text.contains("\"session.query_ns\""), "{text}");
         assert!(text.contains("\"p50\""), "{text}");

@@ -1,5 +1,4 @@
-//! The process-global metric registry and the fixed-capacity event
-//! ring.
+//! The process-global metric registry.
 //!
 //! Registration (first lookup of a name) takes a mutex and leaks the
 //! metric into `'static` storage; every later access goes through the
@@ -17,109 +16,14 @@ use crate::report::{HistogramSnapshot, TraceReport, WindowedSnapshot};
 use crate::rolling::RollingHistogram;
 use crate::spans::{self, SpanSite};
 
-/// Default capacity of the event ring; older events are overwritten
-/// (and counted as dropped) once it fills. The process-global ring's
-/// actual capacity can be overridden with the `KPA_TRACE_EVENTS`
-/// environment variable (read once, when the registry is first used),
-/// so long-running soak tests can bound event memory — or widen it —
-/// without recompiling.
-pub const RING_CAPACITY: usize = 1024;
-
-/// The event-ring capacity the process-global registry will use:
-/// `KPA_TRACE_EVENTS` when set to a positive integer, otherwise
-/// [`RING_CAPACITY`].
-fn ring_capacity_from_env() -> usize {
-    std::env::var("KPA_TRACE_EVENTS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(RING_CAPACITY)
-}
-
-/// One entry in the event ring: a named point-in-time observation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Monotonic sequence number (never reused, survives overwrites).
-    pub seq: u64,
-    /// Nanoseconds since the registry was created.
-    pub at_ns: u64,
-    /// Event name (interned; `'static`).
-    pub name: &'static str,
-    /// Free-form payload value.
-    pub value: u64,
-}
-
-#[derive(Debug)]
-struct Ring {
-    /// Maximum events retained; the oldest are overwritten past this.
-    capacity: usize,
-    events: Vec<Event>,
-    /// Index of the oldest event once the ring has wrapped.
-    head: usize,
-    seq: u64,
-    dropped: u64,
-}
-
-impl Default for Ring {
-    fn default() -> Ring {
-        Ring::with_capacity(RING_CAPACITY)
-    }
-}
-
-impl Ring {
-    fn with_capacity(capacity: usize) -> Ring {
-        Ring {
-            capacity: capacity.max(1),
-            events: Vec::new(),
-            head: 0,
-            seq: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, at_ns: u64, name: &'static str, value: u64) {
-        let ev = Event {
-            seq: self.seq,
-            at_ns,
-            name,
-            value,
-        };
-        self.seq += 1;
-        if self.events.len() < self.capacity {
-            self.events.push(ev);
-        } else {
-            self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    fn snapshot(&self) -> (Vec<Event>, u64) {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
-        (out, self.dropped)
-    }
-
-    fn clear(&mut self) {
-        self.events.clear();
-        self.head = 0;
-        self.dropped = 0;
-        // `seq` is deliberately NOT reset: sequence numbers stay
-        // globally monotonic across `Registry::reset` so event logs
-        // from successive bench rows never alias.
-    }
-}
-
-/// Process-global registry of named counters, histograms, and the
-/// event ring. Obtain it via [`registry`].
+/// Process-global registry of named counters, histograms, rolling
+/// windows and span sites. Obtain it via [`registry`].
 #[derive(Debug)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
     rollings: Mutex<BTreeMap<&'static str, &'static RollingHistogram>>,
     span_sites: Mutex<BTreeMap<&'static str, &'static SpanSite>>,
-    ring: Mutex<Ring>,
     epoch: Instant,
 }
 
@@ -131,7 +35,6 @@ pub fn registry() -> &'static Registry {
         histograms: Mutex::new(BTreeMap::new()),
         rollings: Mutex::new(BTreeMap::new()),
         span_sites: Mutex::new(BTreeMap::new()),
-        ring: Mutex::new(Ring::with_capacity(ring_capacity_from_env())),
         epoch: Instant::now(),
     })
 }
@@ -144,6 +47,23 @@ fn intern(name: &str) -> &'static str {
     Box::leak(name.to_owned().into_boxed_str())
 }
 
+/// Look up `name` in `map`, or leak `make(interned name)` into
+/// `'static` storage and register it.
+fn lookup_or_leak<T>(
+    map: &Mutex<BTreeMap<&'static str, &'static T>>,
+    name: &str,
+    make: impl FnOnce(&'static str) -> T,
+) -> &'static T {
+    let mut map = map.lock().expect("trace registry");
+    if let Some(m) = map.get(name) {
+        return m;
+    }
+    let key = intern(name);
+    let m: &'static T = Box::leak(Box::new(make(key)));
+    map.insert(key, m);
+    m
+}
+
 impl Registry {
     /// Look up (or create) the counter called `name`.
     ///
@@ -151,24 +71,12 @@ impl Registry {
     /// lookup on the hot path. Dynamic names (e.g. per-shard) are fine
     /// — each *distinct* name leaks one small allocation, once.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut map = self.counters.lock().expect("trace counter registry");
-        if let Some(c) = map.get(name) {
-            return c;
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        map.insert(intern(name), c);
-        c
+        lookup_or_leak(&self.counters, name, |_| Counter::new())
     }
 
     /// Look up (or create) the histogram called `name`.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut map = self.histograms.lock().expect("trace histogram registry");
-        if let Some(h) = map.get(name) {
-            return h;
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        map.insert(intern(name), h);
-        h
+        lookup_or_leak(&self.histograms, name, |_| Histogram::new())
     }
 
     /// Look up (or create) the rolling-window histogram called `name`.
@@ -177,76 +85,25 @@ impl Registry {
     /// record into both — so existing cumulative readers see the same
     /// stream they always did.
     pub fn rolling(&self, name: &str) -> &'static RollingHistogram {
-        let mut map = self.rollings.lock().expect("trace rolling registry");
-        if let Some(r) = map.get(name) {
-            return r;
-        }
-        let r: &'static RollingHistogram = Box::leak(Box::new(RollingHistogram::new()));
-        map.insert(intern(name), r);
-        r
+        lookup_or_leak(&self.rollings, name, |_| RollingHistogram::new())
     }
 
     /// Look up (or create) the `span!` call site called `name`: the
     /// site's cumulative histogram plus its interned name, bundled so
     /// the macro can open span-tree records without a second lookup.
     pub fn span_site(&self, name: &str) -> &'static SpanSite {
-        let mut map = self.span_sites.lock().expect("trace span-site registry");
-        if let Some(site) = map.get(name) {
-            return site;
-        }
-        let hist = self.histogram(name);
-        let key = intern(name);
-        let site: &'static SpanSite = Box::leak(Box::new(SpanSite::new(key, hist)));
-        map.insert(key, site);
-        site
-    }
-
-    /// Append a point-in-time event to the ring (oldest entries are
-    /// overwritten past [`RING_CAPACITY`]). Callers should gate on
-    /// [`crate::enabled`]; the `event!` macro does.
-    pub fn event(&self, name: &str, value: u64) {
-        let at_ns = self.epoch.elapsed().as_nanos() as u64;
-        // Reuse the counter-name interner so repeated event names
-        // don't leak per occurrence: intern via a tiny name cache.
-        let name = self.intern_event_name(name);
-        self.ring
-            .lock()
-            .expect("trace event ring")
-            .push(at_ns, name, value);
-    }
-
-    fn intern_event_name(&self, name: &str) -> &'static str {
-        // Event names are drawn from the same small vocabulary as
-        // metric names; keep them in the counter map's key space by
-        // registering a counter of the same name. This both interns
-        // the string once and gives every event kind an occurrence
-        // counter for free.
-        let mut map = self.counters.lock().expect("trace counter registry");
-        if let Some((k, c)) = map.get_key_value(name) {
-            c.incr();
-            return k;
-        }
-        let k = intern(name);
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        c.incr();
-        map.insert(k, c);
-        k
+        lookup_or_leak(&self.span_sites, name, |key| {
+            SpanSite::new(key, self.histogram(name))
+        })
     }
 
     /// Nanoseconds elapsed since the registry was created (the time
-    /// base of [`Event::at_ns`]).
+    /// base of span records and rolling windows).
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The event ring's capacity: [`RING_CAPACITY`] unless the
-    /// `KPA_TRACE_EVENTS` environment variable overrode it at first
-    /// registry use.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring.lock().expect("trace event ring").capacity
-    }
-
-    /// A point-in-time copy of every metric and the event ring.
+    /// A point-in-time copy of every metric and the span records.
     ///
     /// Snapshots are cheap (relaxed loads) and safe to take while
     /// workers are still recording; concurrent updates may or may not
@@ -273,7 +130,6 @@ impl Registry {
         };
         let (span_records, spans_dropped) = spans::snapshot_span_records();
         let span_sites = spans::span_site_stats(&span_records);
-        let (events, dropped_events) = self.ring.lock().expect("trace event ring").snapshot();
         TraceReport {
             enabled: crate::enabled(),
             counters,
@@ -281,15 +137,13 @@ impl Registry {
             windowed,
             span_sites,
             spans_dropped,
-            events,
-            dropped_events,
             rows: BTreeMap::new(),
         }
     }
 
-    /// Zero every counter and histogram and clear the event ring
-    /// (sequence numbers keep advancing). Used between bench rows to
-    /// get per-row deltas from a shared process-global registry.
+    /// Zero every counter, histogram and rolling window and drain the
+    /// span rings. Used between bench rows to get per-row deltas from a
+    /// shared process-global registry.
     pub fn reset(&self) {
         for c in self
             .counters
@@ -316,51 +170,12 @@ impl Registry {
             r.reset();
         }
         spans::reset_spans();
-        self.ring.lock().expect("trace event ring").clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_wraps_and_counts_drops() {
-        let mut ring = Ring::default();
-        for i in 0..(RING_CAPACITY as u64 + 10) {
-            ring.push(i, "tick", i);
-        }
-        let (events, dropped) = ring.snapshot();
-        assert_eq!(events.len(), RING_CAPACITY);
-        assert_eq!(dropped, 10);
-        // Oldest surviving event is #10; order is seq-ascending.
-        assert_eq!(events.first().unwrap().seq, 10);
-        assert_eq!(events.last().unwrap().seq, RING_CAPACITY as u64 + 9);
-        for w in events.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1);
-        }
-        let seq_before = ring.seq;
-        ring.clear();
-        assert_eq!(ring.seq, seq_before, "clear must not rewind seq");
-        assert_eq!(ring.snapshot().0.len(), 0);
-    }
-
-    #[test]
-    fn ring_capacity_is_configurable() {
-        let mut ring = Ring::with_capacity(4);
-        for i in 0..10u64 {
-            ring.push(i, "tick", i);
-        }
-        let (events, dropped) = ring.snapshot();
-        assert_eq!(events.len(), 4);
-        assert_eq!(dropped, 6);
-        assert_eq!(events.first().unwrap().seq, 6);
-        // A zero request clamps to one slot rather than panicking.
-        assert_eq!(Ring::with_capacity(0).capacity, 1);
-        // The process-global ring reports a positive capacity (the
-        // default, or whatever KPA_TRACE_EVENTS selected at first use).
-        assert!(registry().ring_capacity() >= 1);
-    }
 
     #[test]
     fn registry_interns_names_once() {

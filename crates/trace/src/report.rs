@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::{bucket_floor, Histogram, BUCKETS};
-use crate::registry::Event;
 use crate::spans::SpanSiteStat;
 
 /// Schema version stamped into every trace JSON document.
@@ -145,10 +144,6 @@ pub struct TraceReport {
     pub span_sites: Vec<SpanSiteStat>,
     /// Span records evicted from full per-thread rings (schema v2).
     pub spans_dropped: u64,
-    /// Surviving ring-buffer events, sequence-ascending.
-    pub events: Vec<Event>,
-    /// Events overwritten after the ring filled.
-    pub dropped_events: u64,
     /// Optional per-label counter breakdowns (bench rows).
     pub rows: BTreeMap<String, BTreeMap<String, u64>>,
 }
@@ -176,14 +171,13 @@ impl TraceReport {
 
     /// Serialize to the stable trace JSON schema (version
     /// [`TRACE_SCHEMA_VERSION`]): sorted keys, sparse histogram
-    /// buckets as `[floor, count]` pairs, events as
-    /// `[seq, at_ns, name, value]` tuples.
+    /// buckets as `[floor, count]` pairs.
     pub fn to_json(&self, workload: &str) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         let _ = writeln!(s, "  \"kpa_trace\": {TRACE_SCHEMA_VERSION},");
         let _ = writeln!(s, "  \"enabled\": {},", self.enabled);
-        let _ = writeln!(s, "  \"workload\": {},", json_str(workload));
+        let _ = writeln!(s, "  \"workload\": {},", json_escape(workload));
         s.push_str("  \"counters\": {");
         push_counter_map(&mut s, &self.counters, "    ");
         s.push_str("  },\n");
@@ -196,7 +190,7 @@ impl TraceReport {
             let _ = write!(
                 s,
                 "    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                json_str(name),
+                json_escape(name),
                 h.count,
                 h.sum,
                 json_opt(h.min),
@@ -223,7 +217,7 @@ impl TraceReport {
             let _ = write!(
                 s,
                 "    {}: {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}}}",
-                json_str(name),
+                json_escape(name),
                 w.count,
                 w.sum,
                 json_opt(w.p50),
@@ -247,7 +241,7 @@ impl TraceReport {
             let _ = write!(
                 s,
                 "    {}: {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                json_str(site.site),
+                json_escape(site.site),
                 site.count,
                 site.total_ns,
                 site.max_ns
@@ -263,34 +257,14 @@ impl TraceReport {
                 s.push(',');
             }
             s.push('\n');
-            let _ = write!(s, "    {}: {{", json_str(label));
+            let _ = write!(s, "    {}: {{", json_escape(label));
             push_counter_map(&mut s, counters, "      ");
             s.push_str("    }");
         }
         if !self.rows.is_empty() {
             s.push('\n');
         }
-        s.push_str("  },\n");
-        s.push_str("  \"events\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('\n');
-            let _ = write!(
-                s,
-                "    [{}, {}, {}, {}]",
-                ev.seq,
-                ev.at_ns,
-                json_str(ev.name),
-                ev.value
-            );
-        }
-        if !self.events.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"dropped_events\": {}", self.dropped_events);
+        s.push_str("  }\n");
         s.push_str("}\n");
         s
     }
@@ -383,13 +357,6 @@ impl TraceReport {
                 self.spans_dropped
             );
         }
-        if self.dropped_events > 0 {
-            let _ = writeln!(
-                s,
-                "  ({} events dropped from the ring)",
-                self.dropped_events
-            );
-        }
         s
     }
 }
@@ -400,7 +367,7 @@ fn push_counter_map(s: &mut String, map: &BTreeMap<String, u64>, indent: &str) {
             s.push(',');
         }
         s.push('\n');
-        let _ = write!(s, "{indent}{}: {v}", json_str(name));
+        let _ = write!(s, "{indent}{}: {v}", json_escape(name));
     }
     if !map.is_empty() {
         s.push('\n');
@@ -421,11 +388,6 @@ fn json_opt(v: Option<u64>) -> String {
 /// the same stable serialization rules as the trace reports.
 #[must_use]
 pub fn json_escape(s: &str) -> String {
-    json_str(s)
-}
-
-/// Internal alias kept short for the writer above.
-fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -474,13 +436,6 @@ mod tests {
                 max_ns: 100,
             }],
             spans_dropped: 0,
-            events: vec![Event {
-                seq: 0,
-                at_ns: 17,
-                name: "tick",
-                value: 9,
-            }],
-            dropped_events: 0,
             rows: BTreeMap::new(),
         }
     }
@@ -498,7 +453,6 @@ mod tests {
         assert!(a.contains("\"lat_ns\": {\"count\": 2, \"sum\": 5, \"p50\": 0, \"p99\": 4}"));
         assert!(a.contains("\"spans\": {\"dropped\": 0, \"sites\": {"));
         assert!(a.contains("\"demo.step_ns\": {\"count\": 2, \"total_ns\": 110, \"max_ns\": 100}"));
-        assert!(a.contains("[0, 17, \"tick\", 9]"));
         assert!(a.trim_end().ends_with('}'));
         // Braces and brackets balance (stringless schema sanity).
         let opens = a.matches('{').count() + a.matches('[').count();
@@ -546,7 +500,7 @@ mod tests {
 
     #[test]
     fn json_escapes_controls() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -31,6 +31,21 @@ use crate::metrics::{Counter, Histogram};
 use crate::report::{HistogramSnapshot, TraceReport, WindowedSnapshot};
 use crate::rolling::RollingHistogram;
 
+/// Look up `name` in `map`, or register a fresh `make()` under it.
+fn lookup_or_insert<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock().expect("scope metrics");
+    if let Some(m) = map.get(name) {
+        return Arc::clone(m);
+    }
+    let m = Arc::new(make());
+    map.insert(name.to_owned(), Arc::clone(&m));
+    m
+}
+
 /// A named, independently owned group of counters and histograms.
 ///
 /// Metric handles are shared `Arc`s: look one up once and update it
@@ -52,9 +67,7 @@ impl Scope {
     pub fn new(label: impl Into<String>) -> Scope {
         Scope {
             label: label.into(),
-            counters: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            rollings: Mutex::new(BTreeMap::new()),
+            ..Scope::default()
         }
     }
 
@@ -66,24 +79,12 @@ impl Scope {
 
     /// Look up (or create) the scope-local counter called `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("scope counters");
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::new());
-        map.insert(name.to_owned(), Arc::clone(&c));
-        c
+        lookup_or_insert(&self.counters, name, Counter::new)
     }
 
     /// Look up (or create) the scope-local histogram called `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("scope histograms");
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        map.insert(name.to_owned(), Arc::clone(&h));
-        h
+        lookup_or_insert(&self.histograms, name, Histogram::new)
     }
 
     /// Record one sample into the scope-local histogram called `name`.
@@ -99,13 +100,7 @@ impl Scope {
     /// called `name`. Rolling histograms wrap cumulative ones at the
     /// call site; [`Scope::record_windowed`] records into both.
     pub fn rolling(&self, name: &str) -> Arc<RollingHistogram> {
-        let mut map = self.rollings.lock().expect("scope rollings");
-        if let Some(r) = map.get(name) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(RollingHistogram::new());
-        map.insert(name.to_owned(), Arc::clone(&r));
-        r
+        lookup_or_insert(&self.rollings, name, RollingHistogram::new)
     }
 
     /// Record one sample into both the cumulative histogram and the
@@ -122,7 +117,7 @@ impl Scope {
     /// [`TraceReport`] shape the global registry snapshots into — so
     /// [`TraceReport::to_json`] and [`TraceReport::render_table`] work
     /// on it unchanged. Scope reports always carry `enabled: true`
-    /// (scopes are not gated) and have no events or rows.
+    /// (scopes are not gated) and have no span sites or rows.
     #[must_use]
     pub fn snapshot(&self) -> TraceReport {
         let counters = {
@@ -150,8 +145,6 @@ impl Scope {
             windowed,
             span_sites: Vec::new(),
             spans_dropped: 0,
-            events: Vec::new(),
-            dropped_events: 0,
             rows: BTreeMap::new(),
         }
     }

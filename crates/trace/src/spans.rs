@@ -22,9 +22,7 @@
 //! disabled arm is still exactly one relaxed load and a branch. While
 //! enabled, recording costs one uncontended mutex lock on the thread's
 //! own ring (the collector is the only other party that ever takes
-//! it). The per-thread ring capacity is [`SPAN_RING_CAPACITY`] records
-//! unless `KPA_TRACE_SPANS` overrides it (read once; `0` disables span
-//! recording entirely while keeping histograms live).
+//! it). Each per-thread ring holds [`SPAN_RING_CAPACITY`] records.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -35,8 +33,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::metrics::Histogram;
 use crate::report::json_escape;
 
-/// Default per-thread span-ring capacity (records; oldest evicted and
-/// counted as dropped past this). Override with `KPA_TRACE_SPANS`.
+/// Per-thread span-ring capacity (records; oldest evicted and counted
+/// as dropped past this).
 pub const SPAN_RING_CAPACITY: usize = 4096;
 
 /// A request-correlation id. `0` ([`TraceId::NONE`]) means "no request
@@ -132,7 +130,6 @@ impl SpanSite {
 }
 
 struct RingState {
-    capacity: usize,
     records: VecDeque<SpanRecord>,
     dropped: u64,
 }
@@ -145,7 +142,7 @@ struct ThreadRing {
 impl ThreadRing {
     fn push(&self, record: SpanRecord) {
         let mut state = self.state.lock().expect("span ring");
-        if state.records.len() >= state.capacity {
+        if state.records.len() >= SPAN_RING_CAPACITY {
             state.records.pop_front();
             state.dropped += 1;
         }
@@ -157,19 +154,6 @@ impl ThreadRing {
 fn rings() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
     static RINGS: OnceLock<Mutex<Vec<Arc<ThreadRing>>>> = OnceLock::new();
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// The per-thread ring capacity: `KPA_TRACE_SPANS` when set to a
-/// non-negative integer (0 disables recording), else
-/// [`SPAN_RING_CAPACITY`]. Read once per process.
-pub fn span_ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("KPA_TRACE_SPANS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(SPAN_RING_CAPACITY)
-    })
 }
 
 thread_local! {
@@ -191,7 +175,6 @@ fn local_ring() -> Arc<ThreadRing> {
         let ring = Arc::new(ThreadRing {
             index: NEXT_INDEX.fetch_add(1, Ordering::Relaxed),
             state: Mutex::new(RingState {
-                capacity: span_ring_capacity().max(1),
                 records: VecDeque::new(),
                 dropped: 0,
             }),
@@ -251,12 +234,8 @@ pub(crate) struct ActiveSpan {
 
 impl ActiveSpan {
     /// Open a recorded span at `site`, pushing it on the thread's open
-    /// stack. Returns `None` when span recording is disabled
-    /// (`KPA_TRACE_SPANS=0`).
-    pub(crate) fn begin(site: &'static str) -> Option<ActiveSpan> {
-        if span_ring_capacity() == 0 {
-            return None;
-        }
+    /// stack.
+    pub(crate) fn begin(site: &'static str) -> ActiveSpan {
         static SEQ: AtomicU64 = AtomicU64::new(1);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         let parent = OPEN_SPANS.with(|stack| {
@@ -265,13 +244,13 @@ impl ActiveSpan {
             stack.push(seq);
             parent
         });
-        Some(ActiveSpan {
+        ActiveSpan {
             site,
             seq,
             parent,
             start_ns: crate::registry().now_ns(),
             trace_id: AMBIENT.with(Cell::get),
-        })
+        }
     }
 
     /// Close the span with its measured duration and append the record
@@ -610,16 +589,16 @@ mod tests {
         let ring = ThreadRing {
             index: 0,
             state: Mutex::new(RingState {
-                capacity: 2,
                 records: VecDeque::new(),
                 dropped: 0,
             }),
         };
-        for seq in 1..=5 {
+        let pushed = SPAN_RING_CAPACITY as u64 + 3;
+        for seq in 1..=pushed {
             ring.push(rec("x", seq, 0, seq, 1));
         }
         let state = ring.state.lock().unwrap();
-        assert_eq!(state.records.len(), 2);
+        assert_eq!(state.records.len(), SPAN_RING_CAPACITY);
         assert_eq!(state.dropped, 3);
         assert_eq!(state.records.front().unwrap().seq, 4, "oldest evicted");
     }

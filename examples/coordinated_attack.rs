@@ -23,7 +23,7 @@ use kpa::protocols::{ca1, ca2, coordination_formula, coordination_run_probabilit
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trace everything the example does (equivalently: KPA_TRACE=1).
-    kpa::trace::Trace::enabled(true);
+    kpa::trace::set_enabled(true);
     kpa::trace::registry().reset();
 
     let messengers = 10;

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Bench-regression gate for the bench JSON files (stdlib only).
 
-Compares a freshly generated ``BENCH_N.json`` against the committed
-baseline and fails (exit 1) when any asserted row regressed by more
-than the tolerance.  Which keys are gated is chosen by the files' own
-``bench`` field (``"kernel"`` for BENCH_8, ``"shared"`` for BENCH_6,
-``"scale"`` for the BENCH_9 size ladder); the two files must agree on
-it.
+Compares a freshly generated bench JSON file against its committed
+baseline under ``baselines/`` and fails (exit 1) when any asserted row
+regressed by more than the tolerance.  Which keys are gated is chosen
+by the files' own ``bench`` field (``"kernel"`` for ``kernel.json``,
+``"shared"`` for ``shared.json``, ``"serve"`` for ``soak.json``,
+``"scale"`` for the ``ladder.json`` size ladder); the two files must
+agree on it.
 
 The two files are usually produced on *different machines* (the
 committed baseline on a developer box, the fresh run on a CI runner),
@@ -34,12 +35,12 @@ With ``--same-host`` the gate additionally compares absolute row
 seconds (fresh <= baseline * (1 + TOLERANCE) per row), for use when
 both files verifiably come from the same machine.
 
-With ``--trace`` the two files are kpa-trace reports (``TRACE_N.json``)
+With ``--trace`` the two files are kpa-trace reports (``trace.json``)
 instead of bench rows.  The gate then:
 
   1. schema-checks the fresh report (``kpa_trace`` version 2, counters
      as string -> non-negative int, each histogram's ``count`` equal to
-     its bucket mass, well-formed rows/events, and the v2 sections:
+     its bucket mass, well-formed rows, and the v2 sections:
      ``windowed`` rolling summaries with ordered ``p50 <= p99`` and
      ``spans`` per-site aggregates -- both required present, and the
      fresh report's window must actually hold samples);
@@ -107,7 +108,7 @@ PROFILES = {
         "excluded": {"shared_threads4_vs_1"},
     },
     "serve": {
-        # The soak bench (BENCH_7) asserts bit-identity against the
+        # The soak bench asserts bit-identity against the
         # serial model in-process before timing anything, so the gate
         # only has host-dependent rates left to check: the aggregate
         # query rate over the wire and the p50/p99 of the per-frame
@@ -124,7 +125,7 @@ PROFILES = {
         "excluded": {"serve_clients4_vs_1"},
     },
     "scale": {
-        # The BENCH_9 size ladder (10^4 -> 10^6 points, 10^7 opt-in).
+        # The size ladder (10^4 -> 10^6 points).
         # Only the 10^6 rung's wide-vs-narrow ratio carries the hard
         # floor: at a million points the 4xu64 + footprint-skip kernel
         # must beat the scalar full-span reference by >= 2x, and the
@@ -154,16 +155,7 @@ PROFILES = {
             "measure_pts_per_s_1e5",
             "measure_pts_per_s_1e6",
         },
-        # The 10^7 rung only runs under KPA_LADDER_1E7=1 (tens of
-        # seconds of build time on the 1-CPU CI runner), so its keys
-        # are recognized but never required nor compared.
-        "excluded": {
-            "ladder_wide_vs_narrow_1e7",
-            "sat_pts_per_s_1e7",
-            "knows_pts_per_s_1e7",
-            "pr_family_pts_per_s_1e7",
-            "measure_pts_per_s_1e7",
-        },
+        "excluded": set(),
     },
 }
 
@@ -217,9 +209,9 @@ def bench_profile(baseline, fresh, baseline_path, fresh_path):
         )
         return None, failures
     if fresh_kind not in PROFILES:
-        # Name the files carrying the kind: with stacked BENCH_N.json
-        # baselines on disk, "unknown bench kind" alone does not say
-        # which pair the gate choked on.
+        # Name the files carrying the kind: with several baselines on
+        # disk, "unknown bench kind" alone does not say which pair the
+        # gate choked on.
         failures.append(
             f"unknown bench kind {fresh_kind!r} in {baseline_path} and "
             f"{fresh_path}: add a profile to PROFILES in "
@@ -427,11 +419,6 @@ def check_trace_schema(report, path):
             not isinstance(v, int) or v < 0 for v in row.values()
         ):
             err(f"row {label!r} must map counter names to non-negative ints")
-    if not isinstance(report.get("events"), list):
-        err("'events' must be an array")
-    dropped = report.get("dropped_events")
-    if not isinstance(dropped, int) or dropped < 0:
-        err("'dropped_events' must be a non-negative int")
     return failures
 
 
@@ -540,7 +527,7 @@ def selftest():
             return check_speedups(profile, base, fresh)
 
     # Profile lookup: an unknown kind must name BOTH files, so the
-    # operator knows which BENCH_N pair to fix.
+    # operator knows which baseline pair to fix.
     profile, fails = bench_profile(
         bench("warp", {}), bench("warp", {}), "base.json", "fresh.json"
     )
@@ -617,8 +604,6 @@ def selftest():
                 },
             },
             "rows": {},
-            "events": [],
-            "dropped_events": 0,
         }
         report.update(overrides)
         return report

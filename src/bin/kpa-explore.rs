@@ -17,9 +17,9 @@
 //! kernel traffic, pool scheduling, build times (equivalently, set
 //! `KPA_TRACE=1` in the environment).
 //!
-//! `--trace-events` (implies `--trace`) additionally dumps the event
-//! ring, the per-site span summary, the flamegraph-foldable span
-//! stacks, and the Chrome `trace_event` JSON for the run — paste the
+//! `--trace-events` (implies `--trace`) additionally dumps the
+//! per-site span summary, the flamegraph-foldable span stacks, and the
+//! Chrome `trace_event` JSON for the run — paste the
 //! latter into `chrome://tracing` / Perfetto to see the request tree
 //! on a timeline.
 //!
@@ -151,28 +151,16 @@ fn print_trace(on: bool) {
     }
 }
 
-/// `--trace-events`: dumps the raw event ring, the per-site span
-/// summary, the flamegraph-foldable stacks, and the Chrome
-/// `trace_event` JSON for everything this run recorded.
+/// `--trace-events`: dumps the per-site span summary, the
+/// flamegraph-foldable stacks, and the Chrome `trace_event` JSON for
+/// everything this run recorded.
 fn dump_trace_events(on: bool) {
     if !on {
         return;
     }
-    let report = kpa_trace::registry().snapshot();
-    println!(
-        "\n== trace events ({} captured, {} dropped) ==",
-        report.events.len(),
-        report.dropped_events
-    );
-    for e in &report.events {
-        println!(
-            "  [{:>6}] {:>12} ns  {} = {}",
-            e.seq, e.at_ns, e.name, e.value
-        );
-    }
     let (records, dropped) = kpa_trace::snapshot_span_records();
     println!(
-        "== span sites ({} spans, {dropped} dropped) ==",
+        "\n== span sites ({} spans, {dropped} dropped) ==",
         records.len()
     );
     for s in kpa_trace::span_site_stats(&records) {
@@ -319,7 +307,7 @@ fn run_connect(
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
     if args.trace {
-        kpa_trace::Trace::enabled(true);
+        kpa_trace::set_enabled(true);
         kpa_trace::registry().reset();
     }
     // Give the whole run one trace id, so its spans stitch into a
@@ -481,8 +469,8 @@ mod tests {
             "--trace",
         ]))
         .unwrap();
-        kpa_trace::Trace::enabled(false);
-        // --trace-events implies --trace and dumps rings/spans/exports.
+        kpa_trace::set_enabled(false);
+        // --trace-events implies --trace and dumps spans/exports.
         run(&argv(&[
             "--system",
             "secret-coin",
@@ -491,7 +479,7 @@ mod tests {
             "--trace-events",
         ]))
         .unwrap();
-        kpa_trace::Trace::enabled(false);
+        kpa_trace::set_enabled(false);
         // --shared N: concurrent clients over one artifact, checked
         // against the serial model (with and without --trace).
         run(&argv(&[
@@ -513,7 +501,7 @@ mod tests {
             "--trace",
         ]))
         .unwrap();
-        kpa_trace::Trace::enabled(false);
+        kpa_trace::set_enabled(false);
         // --connect: replay against a loopback kpa-serve and bit-check.
         let mut server = kpa::serve::Server::bind(kpa::serve::ServeConfig::default()).unwrap();
         let addr = server.local_addr().to_string();

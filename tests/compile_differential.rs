@@ -56,9 +56,9 @@ fn family(phi: Formula, psi: Formula, i: AgentId, group: &[AgentId]) -> Vec<Form
 /// bit-for-bit with the subterm memo on and off.
 fn assert_compiled_matches(sys: &System, assignment: Assignment, formulas: &[Formula]) {
     let pa = ProbAssignment::new(sys, assignment);
-    let walker = Model::with_knows_memo(&pa, false);
+    let walker = Model::with_memos(&pa, false, true, true);
     let memo_on = Model::new(&pa);
-    let memo_off = Model::with_knows_memo(&pa, false);
+    let memo_off = Model::with_memos(&pa, false, true, true);
     for f in formulas {
         let reference = walker.sat(f).expect("tree walker checks");
         let compiled = memo_on.sat_compiled(f).expect("compiled evaluator checks");
@@ -258,7 +258,7 @@ fn hash_consing_is_structural_and_threshold_sensitive() {
 /// monotone, so other tests in this binary cannot break the assert).
 #[test]
 fn shared_subterms_hit_the_unified_memo() {
-    kpa::trace::Trace::enabled(true);
+    kpa::trace::set_enabled(true);
     let registry = kpa::trace::registry();
 
     let sys = async_coin_tosses(3).expect("builds");
@@ -304,7 +304,7 @@ fn pr_ge_family_matches_serial_sweeps() {
 
     let check = |sys: &System, assignment: Assignment, body: &Formula, i: AgentId| {
         let pa = ProbAssignment::new(sys, assignment);
-        let serial_model = Model::with_knows_memo(&pa, false);
+        let serial_model = Model::with_memos(&pa, false, true, true);
         let family_model = Model::new(&pa);
         let batched = family_model
             .pr_ge_family(i, &alphas, body)

@@ -1,11 +1,12 @@
 //! Cache-consistency suite for the cross-formula `knows_set` memo.
 //!
-//! The memo (`Model::with_knows_memo`) reuses knowledge fixpoints
-//! across formulas that share `(agent, body)` subterms — e.g. the
-//! `K_i φ` stages inside a `C_G φ` fixpoint. These tests pin that the
-//! memo is *observationally invisible*: satisfaction sets (and their
-//! pinned sizes on the paper's walkthrough systems) are identical with
-//! the memo on and off, under any interleaving of queries.
+//! The memo (the `knows` knob of `Model::with_memos`) reuses
+//! knowledge fixpoints across formulas that share `(agent, body)`
+//! subterms — e.g. the `K_i φ` stages inside a `C_G φ` fixpoint.
+//! These tests pin that the memo is *observationally invisible*:
+//! satisfaction sets (and their pinned sizes on the paper's walkthrough
+//! systems) are identical with the memo on and off, under any
+//! interleaving of queries.
 
 mod common;
 
@@ -22,7 +23,7 @@ use kpa::system::{AgentId, System};
 fn sizes_memo_vs_fresh(sys: &System, formulas: &[Formula]) -> Vec<usize> {
     let post = ProbAssignment::new(sys, Assignment::post());
     let memoized = Model::new(&post); // memo on by default
-    let plain = Model::with_knows_memo(&post, false);
+    let plain = Model::with_memos(&post, false, true, true);
     assert!(memoized.knows_memo_enabled());
     assert!(!plain.knows_memo_enabled());
     let mut sizes = Vec::with_capacity(formulas.len());
@@ -129,7 +130,7 @@ fn interleaved_shared_subterms_match_fresh() {
         let memoized = Model::new(&post);
         for f in &queries {
             let shared = memoized.sat(f).expect("model checks");
-            let fresh_model = Model::with_knows_memo(&post, false);
+            let fresh_model = Model::with_memos(&post, false, true, true);
             let fresh = fresh_model.sat(f).expect("model checks");
             assert_eq!(
                 *shared, *fresh,
@@ -160,7 +161,7 @@ fn interleaved_shared_subterms_match_fresh() {
 fn interleaved_pr_ge_thresholds_hit_the_plan_and_pr_memo() {
     // Tracing must be on for the registry to record anything; it is
     // observationally invisible (see tests/trace_invisibility.rs).
-    kpa::trace::Trace::enabled(true);
+    kpa::trace::set_enabled(true);
     let registry = kpa::trace::registry();
 
     let sys = async_coin_tosses(3).expect("builds");

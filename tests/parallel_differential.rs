@@ -87,7 +87,7 @@ fn sat_thread_invariance() {
                     // Fresh assignment + model per evaluation: no cache
                     // state crosses thread counts.
                     let post = ProbAssignment::new(&sys, Assignment::post());
-                    let model = Model::with_knows_memo(&post, memo);
+                    let model = Model::with_memos(&post, memo, true, true);
                     (*model.sat(&f).expect("model checks")).clone()
                 });
             }

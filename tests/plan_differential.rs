@@ -164,7 +164,7 @@ fn assert_pr_family_plan_invariant(sys: &System, assignment: &Assignment, rng: &
 }
 
 #[test]
-fn pr_ge_sweeps_are_plan_invariant() {
+fn pr_ge_class_sweeps_are_plan_invariant() {
     cases_sharded("plan_pr_ge_invariance", |rng| {
         let spec = if rng.chance(1, 2) {
             arb_sync_spec(rng)
