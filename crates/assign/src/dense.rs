@@ -71,6 +71,12 @@ impl DensePointSpace {
         self.kernel.as_ref()
     }
 
+    /// Heap bytes of the generic space plus its dense kernel.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.space.heap_bytes() + self.kernel.as_ref().map_or(0, DenseKernel::heap_bytes)
+    }
+
     /// Whether dense-capable queries will take the word-wise path.
     #[must_use]
     pub fn has_kernel(&self) -> bool {

@@ -214,6 +214,26 @@ impl AssignCore {
         }
     }
 
+    /// Approximate heap bytes the core holds: every cached space (the
+    /// generic space and its dense kernel) with its sample key, and the
+    /// built plan tables. The plans share the cache's spaces, so each
+    /// space is counted once.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let entry =
+            size_of::<((AgentId, PointSet), Arc<DensePointSpace>)>() + size_of::<DensePointSpace>();
+        let spaces = self.cache.fold(0, |acc, (_, sample), space| {
+            acc + entry + size_of_val(sample.as_words()) + space.heap_bytes()
+        });
+        let plans: usize = self
+            .plans
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|plan| plan.heap_bytes())
+            .sum();
+        spaces + plans
+    }
+
     /// How many per-agent plans have been built so far (the artifact's
     /// plan table is write-once, so this only ever grows — up to the
     /// system's agent count).

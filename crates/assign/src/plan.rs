@@ -142,6 +142,13 @@ impl SamplePlan {
     pub fn is_batched(&self) -> bool {
         self.batched
     }
+
+    /// Heap bytes of the point → space table (the spaces themselves
+    /// belong to the space cache and are counted there).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.table.capacity() * size_of::<Option<Arc<DensePointSpace>>>()
+    }
 }
 
 impl fmt::Debug for SamplePlan {

@@ -41,7 +41,7 @@ use kpa_measure::Rat;
 use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, PointSet, System};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Minimum local classes per chunk before `knows_set` fans out.
@@ -62,7 +62,9 @@ const PR_MIN_CHUNK: usize = 64;
 ///   `(agent, set)`-keyed knows memo — one map means the structural
 ///   and set-level caches cannot drift;
 /// * `pr` — `(space identity, sat set) → (μ_ic)⁎(sat)`, shared across
-///   chunks, thresholds `α`, and formulas.
+///   chunks, thresholds `α`, and formulas. Every entry one sweep files
+///   shares that sweep's one `Arc` of the set; keys hash and compare by
+///   value, so later sweeps over an equal set hit.
 ///
 /// `terms`/`pr` are optional because the differential suites prove
 /// memo invisibility by turning them off; the artifact always enables
@@ -70,7 +72,7 @@ const PR_MIN_CHUNK: usize = 64;
 pub(crate) struct EvalMemos {
     pub(crate) cache: ShardMap<Formula, Arc<PointSet>>,
     pub(crate) terms: Option<ShardMap<TermId, Arc<PointSet>>>,
-    pub(crate) pr: Option<ShardMap<(usize, PointSet), Rat>>,
+    pub(crate) pr: Option<ShardMap<(usize, Arc<PointSet>), Rat>>,
 }
 
 impl EvalMemos {
@@ -126,100 +128,57 @@ impl EvalView<'_> {
         // and are counted at their own entry).
         kpa_trace::count!("logic.sat_eval");
         let sys = self.sys;
-        let result: PointSet = match f {
-            Formula::True => (**self.all).clone(),
+        let result: Arc<PointSet> = match f {
+            Formula::True => Arc::clone(self.all),
             Formula::Prop(name) => {
                 let id = sys
                     .prop_id(name)
                     .ok_or_else(|| LogicError::UnknownProp { name: name.clone() })?;
-                sys.points_satisfying(id)
+                Arc::new(sys.points_satisfying(id))
             }
-            Formula::Not(x) => self.sat(x)?.complement(),
+            Formula::Not(x) => Arc::new(self.sat(x)?.complement()),
             Formula::And(xs) => {
                 let mut acc = (**self.all).clone();
                 for x in xs {
                     acc.intersect_with(&*self.sat(x)?);
                 }
-                acc
+                Arc::new(acc)
             }
             Formula::Or(xs) => {
                 let mut acc = sys.empty_points();
                 for x in xs {
                     acc.union_with(&*self.sat(x)?);
                 }
-                acc
+                Arc::new(acc)
             }
-            Formula::Knows(i, x) => self.knows_set(*i, &*self.sat(x)?),
-            Formula::PrGe(i, alpha, x) => self.pr_ge_set(*i, *alpha, &*self.sat(x)?)?,
+            Formula::Knows(i, x) => self.knows_set(*i, &self.sat(x)?),
+            Formula::PrGe(i, alpha, x) => self.pr_ge_set(*i, *alpha, &self.sat(x)?)?,
             // ◯φ: the points whose time-successor satisfies φ — one
             // word shift in the dense layout.
-            Formula::Next(x) => self.sat(x)?.precursors(),
-            // φ U ψ: least fixpoint of X = ψ ∪ (φ ∩ ◯X). Converges in
-            // at most `horizon` rounds of O(words) shifts, replacing
-            // the old per-run backward scans.
+            Formula::Next(x) => Arc::new(self.sat(x)?.precursors()),
             Formula::Until(x, y) => {
                 let hold = self.sat(x)?;
                 let goal = self.sat(y)?;
-                let mut acc = (*goal).clone();
-                loop {
-                    kpa_trace::count!("logic.until_iters");
-                    let mut next = acc.precursors();
-                    next.intersect_with(&hold);
-                    next.union_with(&goal);
-                    if next == acc {
-                        break acc;
-                    }
-                    acc = next;
-                }
+                Arc::new(until(&hold, &goal))
             }
             Formula::Common(group, x) => {
                 if group.is_empty() {
                     return Err(LogicError::EmptyGroup);
                 }
                 let phi = self.sat(x)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        let k = self.knows_set(i, &body);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
+                Arc::new(self.common(group, None, &phi)?)
             }
             Formula::CommonGe(group, alpha, x) => {
                 if group.is_empty() {
                     return Err(LogicError::EmptyGroup);
                 }
                 let phi = self.sat(x)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        // Kᵢ^α(body) = Kᵢ(Prᵢ(body) ≥ α).
-                        let pr = self.pr_ge_set(i, *alpha, &body)?;
-                        let k = self.knows_set(i, &pr);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
+                Arc::new(self.common(group, Some(*alpha), &phi)?)
             }
         };
         // Racing evaluators of the same formula insert identical sets;
         // whichever wins, every caller gets the same shared `Arc`.
-        Ok(self.memos.cache.insert_or_get(f.clone(), Arc::new(result)))
+        Ok(self.memos.cache.insert_or_get(f.clone(), result))
     }
 
     /// `sat` through the formula compiler: hash-cons `f` into the
@@ -276,29 +235,29 @@ impl EvalView<'_> {
         kpa_trace::count!("logic.sat_eval");
         let sys = self.sys;
         let term = *defs.get(&id).expect("compiled program covers its subterms");
-        let result: PointSet = match term {
-            Term::True => (**self.all).clone(),
+        let result: Arc<PointSet> = match term {
+            Term::True => Arc::clone(self.all),
             Term::Prop(name) => {
                 let pid = sys
                     .prop_id(name)
                     .ok_or_else(|| LogicError::UnknownProp { name: name.clone() })?;
-                sys.points_satisfying(pid)
+                Arc::new(sys.points_satisfying(pid))
             }
-            Term::Lit(set) => set.clone(),
-            Term::Not(x) => self.eval_term(*x, defs, env)?.complement(),
+            Term::Lit(set) => Arc::clone(set),
+            Term::Not(x) => Arc::new(self.eval_term(*x, defs, env)?.complement()),
             Term::And(xs) => {
                 let mut acc = (**self.all).clone();
                 for x in xs {
                     acc.intersect_with(&*self.eval_term(*x, defs, env)?);
                 }
-                acc
+                Arc::new(acc)
             }
             Term::Or(xs) => {
                 let mut acc = sys.empty_points();
                 for x in xs {
                     acc.union_with(&*self.eval_term(*x, defs, env)?);
                 }
-                acc
+                Arc::new(acc)
             }
             Term::Knows(i, x) => {
                 let body = self.eval_term(*x, defs, env)?;
@@ -308,70 +267,30 @@ impl EvalView<'_> {
                 let body = self.eval_term(*x, defs, env)?;
                 self.pr_ge_set(*i, *alpha, &body)?
             }
-            Term::Next(x) => self.eval_term(*x, defs, env)?.precursors(),
+            Term::Next(x) => Arc::new(self.eval_term(*x, defs, env)?.precursors()),
             Term::Until(x, y) => {
                 let hold = self.eval_term(*x, defs, env)?;
                 let goal = self.eval_term(*y, defs, env)?;
-                let mut acc = (*goal).clone();
-                loop {
-                    kpa_trace::count!("logic.until_iters");
-                    let mut next = acc.precursors();
-                    next.intersect_with(&hold);
-                    next.union_with(&goal);
-                    if next == acc {
-                        break acc;
-                    }
-                    acc = next;
-                }
+                Arc::new(until(&hold, &goal))
             }
             Term::Common(group, x) => {
                 if group.is_empty() {
                     return Err(LogicError::EmptyGroup);
                 }
                 let phi = self.eval_term(*x, defs, env)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        let k = self.knows_set(i, &body);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
+                Arc::new(self.common(group, None, &phi)?)
             }
             Term::CommonGe(group, alpha, x) => {
                 if group.is_empty() {
                     return Err(LogicError::EmptyGroup);
                 }
                 let phi = self.eval_term(*x, defs, env)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        // Kᵢ^α(body) = Kᵢ(Prᵢ(body) ≥ α).
-                        let pr = self.pr_ge_set(i, *alpha, &body)?;
-                        let k = self.knows_set(i, &pr);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
+                Arc::new(self.common(group, Some(*alpha), &phi)?)
             }
         };
         let shared = match &self.memos.terms {
-            Some(memo) => memo.insert_or_get(id, Arc::new(result)),
-            None => Arc::new(result),
+            Some(memo) => memo.insert_or_get(id, result),
+            None => result,
         };
         env.insert(id, Arc::clone(&shared));
         Ok(shared)
@@ -453,11 +372,12 @@ impl EvalView<'_> {
         // One exact-footprint pass before the fan-out: every class
         // space below measures this set through its footprint hint, so
         // the tightest range multiplies across thousands of queries.
-        let sat = &{
+        // The copy is shared by every `Pr`-memo key the sweep files.
+        let sat = &Arc::new({
             let mut s = sat.clone();
             s.tighten_footprint();
             s
-        };
+        });
         // Fetched once per sweep, outside the fan-out, so chunks share
         // one immutable table; the artifact's plan slots are write-once,
         // so the warm fetch is a single atomic load.
@@ -503,25 +423,25 @@ impl EvalView<'_> {
     }
 
     /// `Kᵢ S` through the unified per-subterm memo when enabled: the
-    /// query is interned as `K_agent ⌜S⌝` and cached under its
-    /// [`TermId`], so the tree walker, the compiled DAG evaluator, and
-    /// raw-set callers all share one cache. See
-    /// [`Model::knows_set`](crate::Model::knows_set).
-    pub(crate) fn knows_set(&self, agent: AgentId, sat: &PointSet) -> PointSet {
+    /// query is interned as `K_agent ⌜S⌝` (the leaf shares `sat`'s
+    /// `Arc`) and cached under its [`TermId`], so the tree walker, the
+    /// compiled DAG evaluator, and raw-set callers all share one cache.
+    /// See [`Model::knows_set`](crate::Model::knows_set).
+    pub(crate) fn knows_set(&self, agent: AgentId, sat: &Arc<PointSet>) -> Arc<PointSet> {
         if let Some(memo) = &self.memos.terms {
             let id = self.arena.knows_of_set(agent, sat);
             if let Some(hit) = memo.get(&id) {
                 kpa_trace::count!("logic.knows_memo_hit");
                 kpa_trace::count!("logic.subterm_memo.hit");
-                return (*hit).clone();
+                return hit;
             }
             kpa_trace::count!("logic.subterm_memo.miss");
             let fresh = self.knows_set_fresh(agent, sat);
             // The scan ran outside the lock; concurrent sweeps may
             // compute the same (identical) set — either insert wins.
-            return (*memo.insert_or_get(id, Arc::new(fresh))).clone();
+            return memo.insert_or_get(id, Arc::new(fresh));
         }
-        self.knows_set_fresh(agent, sat)
+        Arc::new(self.knows_set_fresh(agent, sat))
     }
 
     /// `knows_set` without consulting or filling the memo: the direct
@@ -557,21 +477,21 @@ impl EvalView<'_> {
         &self,
         agent: AgentId,
         alpha: Rat,
-        sat: &PointSet,
-    ) -> Result<PointSet, LogicError> {
+        sat: &Arc<PointSet>,
+    ) -> Result<Arc<PointSet>, LogicError> {
         if let Some(memo) = &self.memos.terms {
             // Interned as `Pr_agent ≥ α ⌜sat⌝`; only successful sweeps
             // are cached, so error behavior is identical on repeats.
             let id = self.arena.pr_ge_of_set(agent, alpha, sat);
             if let Some(hit) = memo.get(&id) {
                 kpa_trace::count!("logic.subterm_memo.hit");
-                return Ok((*hit).clone());
+                return Ok(hit);
             }
             kpa_trace::count!("logic.subterm_memo.miss");
             let fresh = self.pr_ge_one(agent, alpha, sat)?;
-            return Ok((*memo.insert_or_get(id, Arc::new(fresh))).clone());
+            return Ok(memo.insert_or_get(id, Arc::new(fresh)));
         }
-        self.pr_ge_one(agent, alpha, sat)
+        Ok(Arc::new(self.pr_ge_one(agent, alpha, sat)?))
     }
 
     /// The raw `Prᵢ(S) ≥ α` class sweep behind [`EvalView::pr_ge_set`]:
@@ -589,21 +509,52 @@ impl EvalView<'_> {
     /// The inner measure of `sat` in `space`, through the per-class
     /// memo when enabled. The memo key pairs the space cache `Arc`'s
     /// address (stable for the life of the core — the space cache never
-    /// evicts) with the sat-set fingerprint. Concurrent chunks may
-    /// compute the same measure once each before one insert wins; the
-    /// value is a pure function of the key, so results are unaffected.
-    fn inner_of(&self, space: &Arc<DensePointSpace>, sat: &PointSet) -> Rat {
+    /// evicts) with the sat set, shared by `Arc` and compared by value.
+    /// Concurrent chunks may compute the same measure once each before
+    /// one insert wins; the value is a pure function of the key, so
+    /// results are unaffected.
+    fn inner_of(&self, space: &Arc<DensePointSpace>, sat: &Arc<PointSet>) -> Rat {
         let Some(memo) = &self.memos.pr else {
-            return space.inner_measure(sat);
+            return space.inner_measure(&**sat);
         };
-        let key = (Arc::as_ptr(space) as usize, sat.clone());
+        let key = (Arc::as_ptr(space) as usize, Arc::clone(sat));
         if let Some(hit) = memo.get(&key) {
             kpa_trace::count!("logic.pr_memo_hit");
             return hit;
         }
         kpa_trace::count!("logic.pr_memo_miss");
         // Measured outside the lock.
-        memo.insert_or_get(key, space.inner_measure(sat))
+        memo.insert_or_get(key, space.inner_measure(&**sat))
+    }
+
+    /// `C_G φ` (`alpha` = `None`) or `C_G^α φ`: the greatest fixed
+    /// point of X = ⋂_{i∈G} Kᵢ(φ ∩ X), with Kᵢ^α(S) = Kᵢ(Prᵢ(S) ≥ α)
+    /// in place of Kᵢ for the probabilistic variant. `group` is
+    /// nonempty; both evaluators call this one body.
+    fn common(
+        &self,
+        group: &[AgentId],
+        alpha: Option<Rat>,
+        phi: &PointSet,
+    ) -> Result<PointSet, LogicError> {
+        self.gfp(|current| {
+            let body = Arc::new(phi.intersection(current));
+            let mut acc: Option<PointSet> = None;
+            for &i in group {
+                let k = match alpha {
+                    None => self.knows_set(i, &body),
+                    Some(alpha) => self.knows_set(i, &self.pr_ge_set(i, alpha, &body)?),
+                };
+                acc = Some(match acc {
+                    None => Arc::unwrap_or_clone(k),
+                    Some(mut a) => {
+                        a.intersect_with(&k);
+                        a
+                    }
+                });
+            }
+            Ok(acc.expect("nonempty group"))
+        })
     }
 
     /// Greatest fixed point of a monotone set operator, starting from
@@ -621,6 +572,22 @@ impl EvalView<'_> {
             }
             current = next;
         }
+    }
+}
+
+/// φ U ψ: the least fixpoint of X = ψ ∪ (φ ∩ ◯X). Converges in at most
+/// `horizon` rounds of O(words) shifts.
+fn until(hold: &PointSet, goal: &PointSet) -> PointSet {
+    let mut acc = goal.clone();
+    loop {
+        kpa_trace::count!("logic.until_iters");
+        let mut next = acc.precursors();
+        next.intersect_with(hold);
+        next.union_with(goal);
+        if next == acc {
+            return acc;
+        }
+        acc = next;
     }
 }
 
@@ -727,21 +694,42 @@ impl ModelArtifact {
         }
     }
 
-    /// Approximate bytes resident in this artifact's memos and shared
-    /// sets: every cached satisfaction set is one dense word array, and
-    /// every `Pr`-memo entry additionally keys a cloned set. This is a
-    /// telemetry gauge for cache-occupancy accounting (`kpa-serve`
-    /// exports it per resident artifact), not an allocator census —
-    /// the system's own trees and the arena's interned terms are
-    /// summarized by the same per-set estimate.
+    /// Approximate heap bytes this artifact holds: the assignment core
+    /// (every canonical space with its dense kernel, the space-cache
+    /// keys and the plan tables, see [`AssignCore::heap_bytes`]), every
+    /// satisfaction set its memos and arena reach — counted once
+    /// however many maps share it — and a fixed size per memo entry and
+    /// interned term. This is a telemetry gauge for cache-occupancy
+    /// accounting (`kpa-serve` exports it per resident artifact), not
+    /// an allocator census: the system (held by `Arc`), formula ASTs
+    /// beyond their entry size, and allocator slack are not counted.
     #[must_use]
     pub fn approx_resident_bytes(&self) -> u64 {
-        let set_bytes = (self.all.as_words().len() as u64) * 8 + 64;
-        let sets = 1 // the full-point set itself
-            + self.sat_cache_len() as u64
-            + self.subterm_memo_len() as u64
-            + self.terms_interned() as u64;
-        sets * set_bytes + self.pr_memo_len() as u64 * (set_bytes + 32)
+        let mut seen: HashSet<*const PointSet> = HashSet::new();
+        let mut set = |s: &Arc<PointSet>| {
+            if seen.insert(Arc::as_ptr(s)) {
+                size_of::<PointSet>() + size_of_val(s.as_words())
+            } else {
+                0
+            }
+        };
+        let mut bytes = self.core.heap_bytes() + set(&self.all);
+        bytes += self.memos.cache.fold(0, |acc, _, s| {
+            acc + size_of::<(Formula, Arc<PointSet>)>() + set(s)
+        });
+        if let Some(terms) = &self.memos.terms {
+            bytes += terms.fold(0, |acc, _, s| {
+                acc + size_of::<(TermId, Arc<PointSet>)>() + set(s)
+            });
+        }
+        if let Some(pr) = &self.memos.pr {
+            bytes += pr.fold(0, |acc, (_, s), _| {
+                acc + size_of::<((usize, Arc<PointSet>), Rat)>() + set(s)
+            });
+        }
+        bytes += self.terms_interned() * size_of::<(Term, TermId)>()
+            + self.arena.lits().iter().map(set).sum::<usize>();
+        bytes as u64
     }
 
     /// How many formulas the shared satisfaction cache holds.
@@ -945,7 +933,11 @@ impl<'m> EvalCtx<'m> {
     pub fn knows_set(&self, agent: AgentId, sat: &PointSet) -> PointSet {
         self.tick();
         let _req = self.ambient();
-        self.artifact.view().knows_set(agent, sat)
+        Arc::unwrap_or_clone(
+            self.artifact
+                .view()
+                .knows_set(agent, &Arc::new(sat.clone())),
+        )
     }
 
     /// `Prᵢ(S) ≥ α` as a set, through the artifact's shared memos.
@@ -961,7 +953,10 @@ impl<'m> EvalCtx<'m> {
     ) -> Result<PointSet, LogicError> {
         self.tick();
         let _req = self.ambient();
-        self.artifact.view().pr_ge_set(agent, alpha, sat)
+        self.artifact
+            .view()
+            .pr_ge_set(agent, alpha, &Arc::new(sat.clone()))
+            .map(Arc::unwrap_or_clone)
     }
 }
 
@@ -1026,6 +1021,66 @@ mod tests {
         // A *different* context gets the very same shared set.
         let b = artifact.ctx().sat(&f).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "memos must warm across contexts");
+    }
+
+    /// Nine fair coins that only p1 observes: 512 runs × 10 times, so
+    /// a set spans 80 words and p1 has 1,023 distinct spaces.
+    fn observed_coins() -> System {
+        let mut b = ProtocolBuilder::new(["p1", "p2"]);
+        for k in 0..9 {
+            b = b.coin(
+                &format!("c{k}"),
+                &[("h", rat!(1 / 2)), ("t", rat!(1 / 2))],
+                &["p1"],
+            );
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn resident_bytes_cover_every_kernel() {
+        let artifact = ModelArtifact::new(Arc::new(observed_coins()), Assignment::post());
+        let sys = artifact.system();
+        let mut seen = HashSet::new();
+        let mut kernels = 0;
+        for agent in (0..sys.agent_count()).map(AgentId) {
+            let plan = artifact.core().sample_plan(sys, agent);
+            for space in sys.points().filter_map(|c| plan.space(c)) {
+                if seen.insert(Arc::as_ptr(space)) {
+                    kernels += space.kernel().expect("dense kernel").heap_bytes();
+                }
+            }
+        }
+        assert!(kernels > 0);
+        assert!(artifact.approx_resident_bytes() >= kernels as u64);
+    }
+
+    #[test]
+    fn resident_bytes_count_a_shared_set_once() {
+        let artifact = ModelArtifact::new(Arc::new(observed_coins()), Assignment::post());
+        let ctx = artifact.ctx();
+        let set_bytes = (size_of::<PointSet>() + size_of_val(artifact.all.as_words())) as u64;
+        // One new set, held by the formula cache and the subterm memo.
+        let before = artifact.approx_resident_bytes();
+        let heads = ctx.sat(&Formula::prop("c0=h")).unwrap();
+        let grown = artifact.approx_resident_bytes() - before;
+        assert!(
+            (set_bytes..2 * set_bytes).contains(&grown),
+            "{grown} B for one {set_bytes} B set"
+        );
+        // One sweep files a `Pr`-memo entry per p1 space, every key
+        // sharing the sweep's one copy of the set. New sets: the quoted
+        // input, that copy, and the answer.
+        let before = artifact.approx_resident_bytes();
+        ctx.pr_ge_set(AgentId(0), rat!(1 / 2), &heads).unwrap();
+        let entries = artifact.pr_memo_len() as u64;
+        assert_eq!(entries, 1023);
+        let entry = size_of::<((usize, Arc<PointSet>), Rat)>() as u64;
+        let grown = artifact.approx_resident_bytes() - before;
+        assert!(
+            grown < 4 * set_bytes + entries * entry,
+            "{grown} B for {entries} entries over 3 sets"
+        );
     }
 
     #[test]

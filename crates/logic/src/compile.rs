@@ -19,6 +19,9 @@
 //! (`knows_set` over a computed set, the batched threshold families)
 //! intern `K_i ⌜S⌝` and share the same memo the structural DAG uses —
 //! the fix that retired the separate `(agent, set)`-keyed knows memo.
+//! The leaf holds the evaluator's own `Arc` of the set, so quoting a
+//! set costs a reference count, not a copy; leaves still hash and
+//! compare by value, so equal sets intern to one id.
 //!
 //! [`FormulaArena::compile`] returns a [`CompiledFormula`]: the root id
 //! plus the formula's distinct subterms in first-visit post-order. The
@@ -31,7 +34,7 @@ use crate::formula::Formula;
 use kpa_measure::Rat;
 use kpa_system::{AgentId, PointSet};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The stable identity of one interned subterm in a [`FormulaArena`].
 ///
@@ -67,16 +70,17 @@ pub(crate) enum Term {
     CommonGe(Vec<AgentId>, Rat, TermId),
     /// A literal point set: the "quoted" sets behind raw `knows_set` /
     /// threshold-family queries, interned so set-level and structural
-    /// queries share one subterm memo.
-    Lit(PointSet),
+    /// queries share one subterm memo. Shared with the evaluator's memo
+    /// entry for the set; hashed and compared by value.
+    Lit(Arc<PointSet>),
 }
 
-/// The append-only intern table: `terms[id] = term` with a reverse
-/// index for dedup. The lock is held only while interning (compile
-/// time); evaluation never touches it.
+/// The append-only intern table: each distinct term with its id. Ids
+/// are dense in first-intern order, so the table's length is the next
+/// id. The lock is held only while interning (compile time);
+/// evaluation never touches it.
 #[derive(Debug, Default)]
 struct ArenaInner {
-    terms: Vec<Term>,
     index: HashMap<Term, TermId>,
 }
 
@@ -87,8 +91,7 @@ impl ArenaInner {
         if let Some(&id) = self.index.get(&term) {
             return (id, false);
         }
-        let id = TermId(u32::try_from(self.terms.len()).expect("arena outgrew u32 ids"));
-        self.terms.push(term.clone());
+        let id = TermId(u32::try_from(self.index.len()).expect("arena outgrew u32 ids"));
         self.index.insert(term, id);
         (id, true)
     }
@@ -129,7 +132,7 @@ impl FormulaArena {
     /// How many distinct subterms have been interned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("arena lock").terms.len()
+        self.inner.lock().expect("arena lock").index.len()
     }
 
     /// Whether no term has been interned yet.
@@ -156,10 +159,10 @@ impl FormulaArena {
     /// Interns the set-level term `K_agent ⌜set⌝` — the memo key for
     /// raw-set `knows_set` queries, shared with the structural DAG
     /// whenever a compiled `K_i φ` converges to the same quoted set.
-    pub(crate) fn knows_of_set(&self, agent: AgentId, set: &PointSet) -> TermId {
+    pub(crate) fn knows_of_set(&self, agent: AgentId, set: &Arc<PointSet>) -> TermId {
         let mut inner = self.inner.lock().expect("arena lock");
         let mut stats = InternStats::default();
-        let (lit, fresh) = inner.intern(Term::Lit(set.clone()));
+        let (lit, fresh) = inner.intern(Term::Lit(Arc::clone(set)));
         stats.tally(fresh);
         let (id, fresh) = inner.intern(Term::Knows(agent, lit));
         stats.tally(fresh);
@@ -171,16 +174,30 @@ impl FormulaArena {
     /// Interns the set-level term `Pr_agent ≥ alpha ⌜set⌝`, the memo
     /// key under which the batched family evaluator stores each
     /// threshold's answer.
-    pub(crate) fn pr_ge_of_set(&self, agent: AgentId, alpha: Rat, set: &PointSet) -> TermId {
+    pub(crate) fn pr_ge_of_set(&self, agent: AgentId, alpha: Rat, set: &Arc<PointSet>) -> TermId {
         let mut inner = self.inner.lock().expect("arena lock");
         let mut stats = InternStats::default();
-        let (lit, fresh) = inner.intern(Term::Lit(set.clone()));
+        let (lit, fresh) = inner.intern(Term::Lit(Arc::clone(set)));
         stats.tally(fresh);
         let (id, fresh) = inner.intern(Term::PrGe(agent, alpha, lit));
         stats.tally(fresh);
         drop(inner);
         stats.flush();
         id
+    }
+
+    /// The quoted sets of every interned [`Term::Lit`] leaf (for the
+    /// resident-bytes gauge).
+    pub(crate) fn lits(&self) -> Vec<Arc<PointSet>> {
+        let inner = self.inner.lock().expect("arena lock");
+        inner
+            .index
+            .keys()
+            .filter_map(|term| match term {
+                Term::Lit(set) => Some(Arc::clone(set)),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -345,10 +362,11 @@ mod tests {
     #[test]
     fn set_level_terms_share_the_lit() {
         let arena = FormulaArena::new();
-        let set = PointSet::empty(std::sync::Arc::new(kpa_system::PointIndex::empty()));
+        let set = Arc::new(PointSet::empty(Arc::new(kpa_system::PointIndex::empty())));
         let a = arena.knows_of_set(AgentId(0), &set);
-        let b = arena.knows_of_set(AgentId(0), &set);
-        assert_eq!(a, b);
+        assert_eq!(Arc::strong_count(&set), 2, "the leaf shares the set");
+        let b = arena.knows_of_set(AgentId(0), &Arc::new((*set).clone()));
+        assert_eq!(a, b, "an equal set hits the same leaf");
         let c = arena.knows_of_set(AgentId(1), &set);
         assert_ne!(a, c);
         // Lit + two Knows nodes.

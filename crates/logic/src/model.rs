@@ -260,7 +260,7 @@ impl<'a, 's> Model<'a, 's> {
     /// pay for each distinct scan once across *all* formulas.
     #[must_use]
     pub fn knows_set(&self, agent: AgentId, sat: &PointSet) -> PointSet {
-        self.view().knows_set(agent, sat)
+        Arc::unwrap_or_clone(self.view().knows_set(agent, &Arc::new(sat.clone())))
     }
 
     /// `knows_set` without consulting or filling the memo: the direct
@@ -280,7 +280,7 @@ impl<'a, 's> Model<'a, 's> {
     /// distinct space*, not once per point: a chunk-local verdict memo
     /// short-circuits repeats within a chunk, and the model-level
     /// [`Model::pr_memo_enabled`] memo — keyed by (space identity,
-    /// sat-set fingerprint) and valued by the inner measure — shares
+    /// sat set, shared by `Arc`) and valued by the inner measure — shares
     /// the query across chunks, thresholds α, and formulas. When the
     /// sample plan is enabled the per-point *space lookup* is a table
     /// index into the agent's batched [`kpa_assign::SamplePlan`] (same
@@ -300,7 +300,9 @@ impl<'a, 's> Model<'a, 's> {
         alpha: Rat,
         sat: &PointSet,
     ) -> Result<PointSet, LogicError> {
-        self.view().pr_ge_set(agent, alpha, sat)
+        self.view()
+            .pr_ge_set(agent, alpha, &Arc::new(sat.clone()))
+            .map(Arc::unwrap_or_clone)
     }
 
     /// Compiles `f` into this model's hash-consing arena without

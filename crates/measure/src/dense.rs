@@ -51,34 +51,43 @@ use crate::{BlockSpace, MeasureError, Rat};
 
 /// A precomputed word-mask kernel for one [`BlockSpace`].
 ///
-/// Holds one trace mask per block over the word span covering the
-/// sample, plus the common-denominator weight table. All queries take
-/// the queried set's raw words (from
+/// Holds each block's trace mask over only the words the block
+/// occupies, packed into one arena, plus the common-denominator weight
+/// table. All queries take the queried set's raw words (from
 /// [`crate::MemberSet::member_words`]) and never touch the element
 /// vtable.
+///
+/// # Memory
+///
+/// A block costs its footprint words plus a fixed 32 bytes (word range,
+/// arena offset, weight numerator), whatever the width of the span the
+/// sample covers: under `post` a block is one run's few points, about
+/// one word, however far apart the blocks lie. See
+/// [`DenseKernel::heap_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseKernel {
     /// Index of the first word of the span in the global word layout.
     first_word: usize,
     /// Width of the span in words.
     span_words: usize,
-    /// Flattened block traces: block `b` owns
-    /// `traces[b·span_words .. (b+1)·span_words]`.
+    /// Footprint-only block traces, back to back: block `b` owns
+    /// `traces[trace_at[b] .. trace_at[b] + (hi − lo)]`, the span words
+    /// `[lo, hi)` of `block_span[b]`.
     traces: Vec<u64>,
     /// Per-block nonzero word sub-range `[lo, hi)` within the span:
     /// scans touch only the words a block actually occupies, so a query
     /// costs `O(Σ_b footprint_b)` words, not `O(blocks × span)`.
     block_span: Vec<(u32, u32)>,
-    /// Union of all traces (the sample), over the span.
-    sample: Vec<u64>,
+    /// Arena offset of each block's first trace word.
+    trace_at: Vec<usize>,
     /// Block weight numerators over the common denominator.
     weight_num: Vec<u128>,
     /// Σ `weight_num` — the normalizer; fits `i128` by construction.
     total_num: u128,
     /// Σ over blocks of the nonzero trace footprint, in words — the
-    /// per-query word budget (scans may early-exit below it). Computed
-    /// once here so tracing a query costs one counter add, not a pass
-    /// over `block_span`.
+    /// per-query word budget (scans may early-exit below it) and the
+    /// arena length. Computed once here so tracing a query costs one
+    /// counter add, not a pass over `block_span`.
     footprint_words: u64,
 }
 
@@ -210,8 +219,9 @@ impl DenseKernel {
         let first_word = min_bit / 64;
         let span_words = max_bit / 64 - first_word + 1;
 
+        // Pass 1: each block's word range, and the injectivity check
+        // against the sample's bits (a scratch mask over the span).
         let block_count = space.block_weight.len();
-        let mut traces = vec![0u64; block_count * span_words];
         let mut sample = vec![0u64; span_words];
         let mut block_span = vec![(u32::MAX, 0u32); block_count];
         for (i, &bit) in bits.iter().enumerate() {
@@ -222,11 +232,24 @@ impl DenseKernel {
                 return None; // non-injective layout
             }
             sample[w] |= mask;
-            let b = space.block_of[i];
-            traces[b * span_words + w] |= mask;
-            let (lo, hi) = &mut block_span[b];
+            let (lo, hi) = &mut block_span[space.block_of[i]];
             *lo = (*lo).min(w as u32);
             *hi = (*hi).max(w as u32 + 1);
+        }
+        drop(sample);
+
+        // Pass 2: lay the footprints back to back, then set the bits.
+        let mut trace_at = Vec::with_capacity(block_count);
+        let mut footprint = 0usize;
+        for &(lo, hi) in &block_span {
+            trace_at.push(footprint);
+            footprint += (hi - lo) as usize;
+        }
+        let mut traces = vec![0u64; footprint];
+        for (i, &bit) in bits.iter().enumerate() {
+            let b = space.block_of[i];
+            let w = bit / 64 - first_word - block_span[b].0 as usize;
+            traces[trace_at[b] + w] |= 1u64 << (bit % 64);
         }
 
         // Common denominator D = lcm of the block weight denominators.
@@ -263,10 +286,7 @@ impl DenseKernel {
             reject_overflow();
             return None;
         }
-        let footprint_words = block_span
-            .iter()
-            .map(|&(lo, hi)| u64::from(hi.saturating_sub(lo)))
-            .sum();
+        let footprint_words = footprint as u64;
         kpa_trace::count!("measure.kernel_built");
         kpa_trace::record!("measure.kernel_footprint_words", footprint_words);
         Some(DenseKernel {
@@ -274,7 +294,7 @@ impl DenseKernel {
             span_words,
             traces,
             block_span,
-            sample,
+            trace_at,
             weight_num,
             total_num,
             footprint_words,
@@ -294,16 +314,24 @@ impl DenseKernel {
         (self.first_word, self.span_words)
     }
 
+    /// Heap bytes the kernel holds: the footprint-only trace arena plus
+    /// a fixed 32 bytes per block, independent of the span width.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.traces.capacity() * size_of::<u64>()
+            + self.block_span.capacity() * size_of::<(u32, u32)>()
+            + self.trace_at.capacity() * size_of::<usize>()
+            + self.weight_num.capacity() * size_of::<u128>()
+    }
+
     /// The nonzero words of block `b`'s trace and the span offset of the
-    /// first: only the words a block actually occupies are scanned.
+    /// first: only the words a block actually occupies are stored, and
+    /// only those are scanned.
     #[inline]
     fn trace_of(&self, b: usize) -> (usize, &[u64]) {
         let (lo, hi) = self.block_span[b];
-        let base = b * self.span_words;
-        (
-            lo as usize,
-            &self.traces[base + lo as usize..base + hi as usize],
-        )
+        let at = self.trace_at[b];
+        (lo as usize, &self.traces[at..at + (hi - lo) as usize])
     }
 
     /// Scans block `b` against the set's words: `(inside, touched)`,
@@ -675,6 +703,97 @@ mod tests {
             Ok(Rat::ZERO)
         );
         assert!(kernel.is_measurable_words_in(&[0, 0, 0, 1], Some((3, 4))));
+    }
+
+    /// Six blocks far apart in a 99-word span that starts at word 2:
+    /// single-word blocks at both ends (block 0 sharing its word with
+    /// block 1), a block straddling words 5–7, one spanning words 15–17
+    /// with a zero middle word, and a lone block in between.
+    fn wide_span() -> (BlockSpace<u32>, DenseKernel) {
+        let elems = [
+            (130u32, 0u8),
+            (135, 0),
+            (140, 1),
+            (383, 2),
+            (400, 2),
+            (448, 2),
+            (1000, 3),
+            (1100, 3),
+            (3000, 4),
+            (6400, 5),
+            (6463, 5),
+        ];
+        let space = BlockSpace::new(elems, |&b| {
+            [
+                rat!(1 / 2),
+                rat!(1 / 3),
+                rat!(1 / 12),
+                rat!(1 / 7),
+                rat!(1 / 11),
+                rat!(1 / 5),
+            ][b as usize]
+        })
+        .unwrap();
+        let kernel = DenseKernel::from_space(&space, |&e| Some(e as usize)).unwrap();
+        (space, kernel)
+    }
+
+    #[test]
+    fn footprint_only_traces_match_generic_on_a_wide_span() {
+        let (space, kernel) = wide_span();
+        assert_eq!(kernel.word_span(), (2, 99));
+        assert_eq!(kernel.footprint_words, 10);
+        let sample = &space.elems;
+        // Every subset of the 11-element sample, with and without its
+        // exact footprint hint: exhaustive differential check.
+        for mask in 0u32..1 << sample.len() {
+            let set: BTreeSet<u32> = (0..sample.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| sample[i])
+                .collect();
+            let words = words_of(&set);
+            let exact = match words.iter().position(|&w| w != 0) {
+                None => (0, 0),
+                Some(l) => (l, words.iter().rposition(|&w| w != 0).unwrap() + 1),
+            };
+            for hint in [None, Some(exact)] {
+                assert_eq!(kernel.measure_words_in(&words, hint), space.measure(&set));
+                assert_eq!(
+                    kernel.inner_measure_words_in(&words, hint),
+                    space.inner_measure(&set)
+                );
+                assert_eq!(
+                    kernel.outer_measure_words_in(&words, hint),
+                    space.outer_measure(&set)
+                );
+                assert_eq!(
+                    kernel.measure_interval_words_in(&words, hint),
+                    space.measure_interval(&set)
+                );
+                assert_eq!(
+                    kernel.is_measurable_words_in(&words, hint),
+                    space.is_measurable(&set)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn heap_bytes_follow_the_footprint_not_the_span() {
+        // At most a constant per block plus 8 B per footprint word and
+        // per span word. A blocks × span layout (6 × 99 words here)
+        // cannot meet it.
+        const PER_BLOCK: usize = 32;
+        let (_, kernel) = wide_span();
+        let (_, span) = kernel.word_span();
+        let bound =
+            PER_BLOCK * kernel.block_count() + 8 * kernel.footprint_words as usize + 8 * span;
+        assert!(
+            kernel.heap_bytes() <= bound,
+            "{} heap bytes exceed the footprint bound {bound}",
+            kernel.heap_bytes()
+        );
+        assert!(kernel.heap_bytes() >= 8 * kernel.footprint_words as usize);
     }
 
     #[test]

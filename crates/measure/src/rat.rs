@@ -8,7 +8,11 @@
 //! denominator is strictly positive and the fraction is fully reduced.
 //! All arithmetic is checked; overflow panics with a descriptive message
 //! (the paper's computations stay far below `i128` range, so an overflow
-//! indicates a logic error rather than a capacity problem).
+//! indicates a logic error rather than a capacity problem). Comparison
+//! never overflows: any two representable rationals compare exactly,
+//! through a 256-bit cross-multiply when an `i128` product would not
+//! fit, so a threshold read from outside the program cannot panic a
+//! `Pr_i ≥ α` test.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -357,16 +361,46 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
-        let lhs = self
-            .num
-            .checked_mul(other.den)
-            .expect("rational comparison overflow");
-        let rhs = other
-            .num
-            .checked_mul(self.den)
-            .expect("rational comparison overflow");
+        // a/b vs c/d with b, d > 0: compare a·d with c·b.
+        match (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+            _ => cmp_products(self.num, other.den, other.num, self.den),
+        }
+    }
+}
+
+/// Compares `a·d` with `c·b` exactly, for `b, d > 0`: the fallback of
+/// [`Rat::cmp`] when a cross product leaves `i128`.
+fn cmp_products(a: i128, d: i128, c: i128, b: i128) -> Ordering {
+    // b, d > 0, so each product has the sign of its numerator.
+    let by_sign = a.signum().cmp(&c.signum());
+    if by_sign != Ordering::Equal || a == 0 {
+        return by_sign;
+    }
+    let lhs = mul_u256(a.unsigned_abs(), d.unsigned_abs());
+    let rhs = mul_u256(c.unsigned_abs(), b.unsigned_abs());
+    if a < 0 {
+        rhs.cmp(&lhs)
+    } else {
         lhs.cmp(&rhs)
     }
+}
+
+/// The exact 256-bit product `x·y` as `(high, low)` `u128` halves,
+/// schoolbook over 64-bit limbs; the tuple order is the numeric order.
+fn mul_u256(x: u128, y: u128) -> (u128, u128) {
+    const LIMB: u128 = u64::MAX as u128;
+    let (x1, x0) = (x >> 64, x & LIMB);
+    let (y1, y0) = (y >> 64, y & LIMB);
+    let low_limbs = x0 * y0;
+    let (mid, c1) = (x0 * y1).overflowing_add(x1 * y0);
+    let (mid, c2) = mid.overflowing_add(low_limbs >> 64);
+    let low = (mid << 64) | (low_limbs & LIMB);
+    let high = x1 * y1 + (mid >> 64) + ((u128::from(c1) + u128::from(c2)) << 64);
+    (high, low)
 }
 
 impl Add for Rat {
@@ -658,6 +692,92 @@ mod tests {
         assert!(rat!(2 / 4) == rat!(1 / 2));
         assert_eq!(rat!(1 / 2).max(rat!(2 / 3)), rat!(2 / 3));
         assert_eq!(rat!(1 / 2).min(rat!(2 / 3)), rat!(1 / 2));
+    }
+
+    /// Orders `a/b` and `c/d` (b, d > 0) by their continued fractions,
+    /// with Euclid's division alone: a comparison that shares no
+    /// arithmetic with [`Rat::cmp`].
+    fn cmp_by_continued_fraction(a: i128, b: i128, c: i128, d: i128) -> Ordering {
+        let (mut a, mut b, mut c, mut d) = (a, b, c, d);
+        // At odd depth the pair compared is the reciprocal of the
+        // fractional parts one level up, which reverses the order.
+        let mut reversed = false;
+        loop {
+            let (qa, ra) = (a.div_euclid(b), a.rem_euclid(b));
+            let (qc, rc) = (c.div_euclid(d), c.rem_euclid(d));
+            let here = qa.cmp(&qc).then_with(|| match (ra == 0, rc == 0) {
+                (true, true) => Ordering::Equal,
+                (true, false) => Ordering::Less,
+                (false, true) => Ordering::Greater,
+                (false, false) => Ordering::Equal,
+            });
+            if here != Ordering::Equal || ra == 0 {
+                return if reversed { here.reverse() } else { here };
+            }
+            (a, b, c, d) = (b, ra, d, rc);
+            reversed = !reversed;
+        }
+    }
+
+    #[test]
+    fn ordering_is_exact_at_the_i128_edge() {
+        const M: i128 = i128::MAX;
+        // (2¹²⁷−7)/(2¹²⁷−5) is the threshold a wire client can send.
+        let mut edge = vec![
+            Rat::new(M - 6, M - 4),
+            Rat::new(M - 8, M - 6),
+            Rat::new(M - 1, M),
+            Rat::new(M - 2, M - 1),
+            Rat::new(M, M - 1),
+            Rat::new(1, M),
+            Rat::new(1, M - 1),
+            Rat::new(M, 1),
+            Rat::new(M - 1, 1),
+            Rat::new(-M, M - 1),
+            Rat::new(-(M - 1), M),
+            Rat::new(-(M - 6), M - 4),
+            Rat::new(i128::MIN, 1),
+            Rat::new(i128::MIN, M),
+            Rat::new(M / 2, M),
+            Rat::new(M / 2 + 1, M),
+            Rat::ZERO,
+            Rat::ONE,
+            rat!(1 / 2),
+            rat!(-1 / 2),
+            rat!(1 / 3),
+        ];
+        // Plus near-edge values drawn at random.
+        let mut rng = crate::Rng64::new(0x5eed_2127);
+        for _ in 0..40 {
+            let near = |rng: &mut crate::Rng64| M - (rng.below(1 << 20) as i128);
+            let (n, d) = (near(&mut rng), near(&mut rng));
+            edge.push(Rat::new(if rng.chance(1, 4) { -n } else { n }, d));
+        }
+        for x in &edge {
+            for y in &edge {
+                let want = cmp_by_continued_fraction(x.numer(), x.denom(), y.numer(), y.denom());
+                assert_eq!(x.cmp(y), want, "{x:?} vs {y:?}");
+                assert_eq!(x.cmp(y) == Ordering::Equal, x == y);
+            }
+        }
+        assert!(Rat::new(M - 6, M - 4) > rat!(1 / 2));
+        assert!(Rat::new(M - 6, M - 4) < Rat::ONE);
+    }
+
+    #[test]
+    fn wide_products_are_exact() {
+        let max = u128::MAX;
+        assert_eq!(mul_u256(max, max), (max - 1, 1));
+        assert_eq!(mul_u256(1 << 127, 2), (1, 0));
+        assert_eq!(mul_u256(0, max), (0, 0));
+        assert_eq!(mul_u256(max, 1), (0, max));
+        assert_eq!(mul_u256(1 << 64, 1 << 64), (1, 0));
+        // The middle limbs sum to 2¹²⁸ − 1, so adding the low limb's
+        // carry wraps: (3·2⁶⁴ − 1)(2¹²⁸ − 1).
+        assert_eq!(
+            mul_u256((3 << 64) - 1, max),
+            ((3 << 64) - 2, max - (3 << 64) + 2)
+        );
     }
 
     #[test]

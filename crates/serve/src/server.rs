@@ -180,17 +180,16 @@ fn accept_loop(
                     refuse(stream);
                     continue;
                 }
-                active.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnSlot::take(active);
                 shared.proc().counter("proc.conns_opened").add(1);
                 let shared = Arc::clone(shared);
                 let stop = Arc::clone(stop);
-                let active = Arc::clone(active);
                 let config = config.clone();
                 let handle = std::thread::Builder::new()
                     .name("kpa-serve-conn".to_string())
                     .spawn(move || {
+                        let _slot = slot;
                         serve_connection(stream, &config, &shared, &stop);
-                        active.fetch_sub(1, Ordering::SeqCst);
                     })
                     .expect("spawn connection thread");
                 let mut guard = conns.lock().expect("conns");
@@ -205,6 +204,25 @@ fn accept_loop(
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => break,
         }
+    }
+}
+
+/// One of the [`ServeConfig::max_conns`] connection slots, owned by
+/// the connection's thread. Dropping it frees the slot, also when the
+/// thread unwinds from a panic, so a failing session can never lock
+/// later clients out.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl ConnSlot {
+    fn take(active: &Arc<AtomicUsize>) -> ConnSlot {
+        active.fetch_add(1, Ordering::SeqCst);
+        ConnSlot(Arc::clone(active))
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -359,4 +377,27 @@ fn handle_line(
         return true;
     }
     after == After::Close
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_connection_thread_frees_its_slot() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let slot = ConnSlot::take(&active);
+        assert_eq!(active.load(Ordering::SeqCst), 1);
+        let joined = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("session failure");
+        })
+        .join();
+        assert!(joined.is_err(), "the thread panicked");
+        assert_eq!(
+            active.load(Ordering::SeqCst),
+            0,
+            "the unwind freed the slot"
+        );
+    }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the checks every PR must pass, runnable fully offline.
 #
-#   ./scripts/ci.sh          # fmt + build + test + bench gate + clippy
+#   ./scripts/ci.sh          # fmt + build + test + benchmark build and
+#                            # unit tests + bench gate + clippy
 #   FUZZ=1 ./scripts/ci.sh   # additionally run the widened property sweeps
 #
 # FUZZ=1 multiplies the sharded property-test case counts ~5x
@@ -22,6 +23,14 @@ cargo build --release --offline
 
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
+
+# The benchmark (kpabench/) is a package of its own that calls the
+# engine's public API. Building it and running its unit tests here makes
+# a broken signature fail CI instead of the next benchmark run.
+# --locked leaves kpabench/Cargo.lock as it is; --target-dir keeps the
+# build output out of kpabench/.
+echo "==> cargo test --release --offline --locked --manifest-path kpabench/Cargo.toml --target-dir target/kpabench"
+cargo test --release --offline --locked --manifest-path kpabench/Cargo.toml --target-dir target/kpabench
 
 # The serial/parallel differential suites at a pinned serial width and
 # a pinned parallel width: KPA_THREADS=1 is the reference semantics, and

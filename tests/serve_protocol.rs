@@ -349,6 +349,33 @@ fn session_lifecycle_pin_unpin_and_bye() {
 }
 
 #[test]
+fn an_i128_edge_threshold_gets_an_answer() {
+    // α = (2¹²⁷−7)/(2¹²⁷−5): comparing it with a class measure needs a
+    // cross product past i128. The frame must be answered, and the
+    // connection must answer the next one.
+    const ITEM: &str = r#"{"kind":"pr_ge","agent":"p1","alpha":"170141183460469231731687303715884105721/170141183460469231731687303715884105723","formula":"recent=t"}"#;
+    let mut server = Server::bind(tight_config()).expect("bind");
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    c.load_named("async-coins:4", "post").expect("load");
+    let item = kpa::serve::json::parse(ITEM).expect("item JSON");
+    let frame = c
+        .request("query", vec![("queries", Value::Arr(vec![item]))])
+        .expect("an ok reply");
+    assert_eq!(frame.get("ok").and_then(Value::as_bool), Some(true));
+    let rows = c
+        .query(&[QueryItem {
+            id: 2,
+            kind: QueryKind::Sat {
+                formula: "recent=t".into(),
+            },
+        }])
+        .expect("the next frame is answered");
+    assert_eq!(rows.len(), 1);
+    server.shutdown();
+}
+
+#[test]
 fn idle_sessions_are_reaped() {
     let mut server = Server::bind(tight_config()).expect("bind");
     let mut c = connect(&server);
