@@ -54,8 +54,8 @@ use std::sync::Arc;
 /// A precomputed `point → Arc<DensePointSpace>` table for one agent
 /// under one sample-space assignment. Built by
 /// [`ProbAssignment::sample_plan`](crate::ProbAssignment::sample_plan);
-/// immutable (and hence freely shareable across `kpa-pool` workers)
-/// once built.
+/// immutable (and hence freely shareable across query threads) once
+/// built.
 pub struct SamplePlan {
     agent: AgentId,
     index: Arc<PointIndex>,

@@ -28,8 +28,9 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
-/// Default shard count, chosen so simultaneous collisions are rare at
-/// `kpa-pool`'s thread counts.
+/// Default shard count, chosen so simultaneous collisions are rare
+/// among the query threads that share one artifact (one `kpa-serve`
+/// thread per connection).
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Per-map trace handles, resolved lazily on the first traced

@@ -27,13 +27,9 @@ use crate::error::AsyncError;
 use kpa_assign::DensePointSpace;
 use kpa_logic::PointSet;
 use kpa_measure::{BlockSpace, Rat};
-use kpa_pool::Pool;
 use kpa_system::{NodeId, PointId, RunId, System};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Minimum window starts per chunk for the partial-synchrony sweep.
-const START_MIN_CHUNK: usize = 2;
 
 /// A class of type-3 adversaries (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,9 +134,8 @@ impl CutClass {
             CutClass::Horizontal => CutClass::Window(0).bounds(sys, region, phi),
             CutClass::Window(width) => {
                 let horizon = sys.horizon();
-                // Each window start is an independent candidate cut
-                // family; sweep starts in parallel and fold the
-                // (exact) min/max envelope in start order.
+                // Each window start is a candidate cut family; fold
+                // the (exact) min/max envelope over the starts.
                 let window_at = |start: usize| -> Option<(Rat, Rat)> {
                     let end = start.saturating_add(*width).min(horizon);
                     // The window admits a full cut iff every run has an
@@ -166,22 +161,8 @@ impl CutClass {
                     }
                     Some((lo / total, hi / total))
                 };
-                let partials =
-                    Pool::current().par_map_chunks(horizon + 1, START_MIN_CHUNK, |range| {
-                        let mut best: Option<(Rat, Rat)> = None;
-                        for start in range {
-                            if let Some((lo, hi)) = window_at(start) {
-                                best = Some(match best {
-                                    None => (lo, hi),
-                                    Some((l, h)) => (l.min(lo), h.max(hi)),
-                                });
-                            }
-                        }
-                        best
-                    });
                 let mut best: Option<(Rat, Rat)> = None;
-                for partial in partials.into_iter().flatten() {
-                    let (lo, hi) = partial;
+                for (lo, hi) in (0..=horizon).filter_map(window_at) {
                     best = Some(match best {
                         None => (lo, hi),
                         Some((l, h)) => (l.min(lo), h.max(hi)),

@@ -13,13 +13,7 @@ use crate::error::AsyncError;
 use kpa_assign::{Assignment, ProbAssignment};
 use kpa_logic::PointSet;
 use kpa_measure::Rat;
-use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, System};
-
-/// Minimum points per chunk before [`prop10_holds`] fans out onto the
-/// [`kpa_pool`] pool: every point costs a cut-bound optimization plus a
-/// posterior interval, so even short sweeps are worth splitting.
-const POINT_MIN_CHUNK: usize = 4;
 
 /// The agent's sample region when betting against opponent `j` at `c`:
 /// `Tree^j_ic` (with `j = i` this is `Tree_ic` itself).
@@ -74,41 +68,28 @@ pub fn prop10_holds(sys: &System, agent: AgentId, phi: &PointSet) -> Result<bool
     // region spaces `pts_interval` would rebuild: one batched pass
     // replaces a sample extraction + space construction per point.
     let plan = post.sample_plan(agent);
-    let points: Vec<PointId> = sys.points().collect();
-    // Pointwise checks are independent: sweep chunks of the point list
-    // on the pool and conjoin partials in chunk order — the exact
-    // boolean a serial sweep computes (each chunk short-circuits
-    // internally; `&&` over ordered chunks is associative and exact).
     let _sweep_timer = kpa_trace::span!("async.prop10_ns");
-    let partials = Pool::current().par_map_chunks(points.len(), POINT_MIN_CHUNK, |range| {
-        kpa_trace::count!("async.prop10_points", range.len() as u64);
-        let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
-        let mut chunk_ok = true;
-        for &c in &points[range] {
-            let pts = match plan.space(c) {
-                Some(space) => {
-                    plan_hits += 1;
-                    CutClass::AllPoints.bounds_via(sys, space, phi)?
-                }
-                None => {
-                    fallbacks += 1;
-                    pts_interval(sys, agent, c, phi)?
-                }
-            };
-            let direct = post.interval(agent, c, phi)?;
-            if pts != direct {
-                chunk_ok = false;
-                break;
-            }
-        }
-        kpa_trace::count!("async.plan_hit", plan_hits);
-        kpa_trace::count!("async.plan_fallback", fallbacks);
-        Ok::<bool, AsyncError>(chunk_ok)
-    });
+    kpa_trace::count!("async.prop10_points", sys.point_count() as u64);
+    let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
     let mut all = true;
-    for partial in partials {
-        all = all && partial?;
+    for c in sys.points() {
+        let pts = match plan.space(c) {
+            Some(space) => {
+                plan_hits += 1;
+                CutClass::AllPoints.bounds_via(sys, space, phi)?
+            }
+            None => {
+                fallbacks += 1;
+                pts_interval(sys, agent, c, phi)?
+            }
+        };
+        if pts != post.interval(agent, c, phi)? {
+            all = false;
+            break;
+        }
     }
+    kpa_trace::count!("async.plan_hit", plan_hits);
+    kpa_trace::count!("async.plan_fallback", fallbacks);
     Ok(all)
 }
 

@@ -73,38 +73,6 @@ fn bench_safety_decision(reps: u32) {
     }
 }
 
-/// The `kpa-pool` thread sweep: the same safety decision at 1, 2, and 4
-/// threads on the 11k-point system (2^10 runs × 11 times), with the
-/// verdict sets asserted bit-identical across thread counts. Wall-clock
-/// per thread count is printed so the speedup curve lands next to the
-/// size curves above.
-fn bench_parallel_safety(reps: u32) {
-    let n = if cfg!(feature = "bench") { 10 } else { 8 };
-    let sys = async_coin_tosses(n).expect("builds");
-    let phi = recent_heads(&sys);
-    let run = || {
-        let game = BettingGame::new(&sys, AgentId(0), AgentId(1));
-        let rule = BetRule::new(phi.clone(), Rat::new(1, 2)).expect("valid");
-        game.safe_points(&rule).expect("decidable")
-    };
-    let baseline = kpa_pool::with_threads(1, run);
-    for threads in [1usize, 2, 4] {
-        let d = kpa_pool::with_threads(threads, || {
-            bench_time(
-                &format!("scale_parallel_safety/{n}/threads={threads}"),
-                reps,
-                &run,
-            )
-        });
-        let verdicts = kpa_pool::with_threads(threads, run);
-        assert_eq!(
-            verdicts, baseline,
-            "safety verdicts must be bit-identical at {threads} threads"
-        );
-        let _ = d;
-    }
-}
-
 fn main() {
     let reps = default_reps();
     println!("scaling benchmarks (best of {reps})\n");
@@ -112,5 +80,4 @@ fn main() {
     bench_assignment_induction(reps);
     bench_common_knowledge(reps);
     bench_safety_decision(reps);
-    bench_parallel_safety(reps);
 }

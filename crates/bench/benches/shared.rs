@@ -23,9 +23,8 @@
 //!    regress (the gate is relative to the committed baseline).
 //!
 //! `shared_threads4_vs_1` rides along for inspection but is excluded
-//! from gating — like `par_sat_threads4_vs_1` in the kernel bench it
-//! measures core-count scaling, which legitimately sits near 1× on
-//! single-core runners.
+//! from gating: it measures core-count scaling, which legitimately
+//! sits near 1× on single-core runners.
 //!
 //! After the timed sections, a traced pass re-runs the 4-thread
 //! workload against a fresh artifact under `kpa-trace` and reports the
@@ -94,17 +93,14 @@ fn client_pass(artifact: &Arc<ModelArtifact>, family: &[Formula], client: usize)
 }
 
 /// Spawns `threads` clients against the artifact and waits for all of
-/// them; each client pins its own pool width to 1 so the row measures
-/// memo throughput, not intra-query parallelism.
+/// them.
 fn shared_pass(artifact: &Arc<ModelArtifact>, family: &[Formula], threads: usize) -> usize {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|client| {
                 let artifact = Arc::clone(artifact);
                 let family = family.to_vec();
-                scope.spawn(move || {
-                    kpa_pool::with_threads(1, || client_pass(&artifact, &family, client))
-                })
+                scope.spawn(move || client_pass(&artifact, &family, client))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client")).sum()

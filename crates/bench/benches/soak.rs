@@ -10,7 +10,7 @@
 //! 1. **Correctness before timing** — a client loads the walkthrough
 //!    system over the wire and every answer in the mixed formula
 //!    family is asserted bit-identical (the raw bitset words) to the
-//!    serial `Model` facade at pool width 1. Nothing is timed until
+//!    in-process `Model` facade. Nothing is timed until
 //!    the loopback path has proven it computes the same bits.
 //!
 //! 2. **Soak rows** — 1 client vs `CLIENTS` concurrent clients, each
@@ -29,9 +29,9 @@
 //!    under real concurrent load.
 //!
 //! `serve_clients4_vs_1` rides along for inspection but is excluded
-//! from gating — like the other `*_threads4_vs_1` figures it measures
-//! core-count scaling, which legitimately sits near (or below) 1× on
-//! single-core runners.
+//! from gating — like `shared_threads4_vs_1` in the `shared` bench it
+//! measures core-count scaling, which legitimately sits near (or
+//! below) 1× on single-core runners.
 //!
 //! Run with `cargo bench -p kpa-bench --bench soak`. Set
 //! `KPA_BENCH_JSON=/abs/path.json` (or use `scripts/bench.sh`, which
@@ -132,19 +132,17 @@ fn main() {
     let family = formula_family();
     let pa = ProbAssignment::new(&sys, assignment);
     let serial = Model::new(&pa);
-    let expected: Vec<Vec<u64>> = kpa_pool::with_threads(1, || {
-        family
-            .iter()
-            .map(|src| {
-                let f = parse_in(src, &sys).expect("family parses");
-                serial
-                    .sat(&f)
-                    .expect("serial model checks")
-                    .as_words()
-                    .to_vec()
-            })
-            .collect()
-    });
+    let expected: Vec<Vec<u64>> = family
+        .iter()
+        .map(|src| {
+            let f = parse_in(src, &sys).expect("family parses");
+            serial
+                .sat(&f)
+                .expect("serial model checks")
+                .as_words()
+                .to_vec()
+        })
+        .collect();
     {
         let mut c = Client::connect(addr).expect("connect");
         c.hello().expect("hello");

@@ -2,7 +2,7 @@
 //!
 //! With `KPA_TRACE=1` (or `--trace`) the run ends with the `kpa-trace`
 //! counter/histogram report — system builds, cache hit rates, dense
-//! kernel traffic, and pool scheduling across all experiments.
+//! kernel traffic, and sweep timings across all experiments.
 
 fn main() {
     if std::env::args().any(|a| a == "--trace") {

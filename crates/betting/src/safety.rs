@@ -30,18 +30,8 @@ use crate::strategy::Strategy;
 use kpa_assign::{Assignment, DensePointSpace, ProbAssignment};
 use kpa_logic::PointSet;
 use kpa_measure::Rat;
-use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, System};
 use std::sync::Arc;
-
-/// Minimum bettor classes per chunk before the safety sweeps fan out
-/// onto the [`kpa_pool`] pool. Every class member costs a probability
-/// space plus an expected-winnings evaluation, so even short class
-/// lists are worth splitting.
-const CLASS_MIN_CHUNK: usize = 2;
-
-/// Minimum points per chunk for the Proposition 6 whole-system check.
-const POINT_MIN_CHUNK: usize = 4;
 
 /// The betting game between a bettor `p_i` and an opponent `p_j` over a
 /// system, with the opponent-indexed assignment `P^j` it induces.
@@ -159,12 +149,8 @@ impl<'s> BettingGame<'s> {
         Ok(true)
     }
 
-    /// The set of points where `rule` is `Tree^j`-safe.
-    ///
-    /// The per-class decisions are independent, so the class list is
-    /// swept in parallel on the [`kpa_pool`] pool; chunk partials union
-    /// in chunk order, keeping the result bit-identical to a serial
-    /// sweep at any thread count.
+    /// The set of points where `rule` is `Tree^j`-safe: one decision
+    /// per bettor class.
     ///
     /// # Errors
     ///
@@ -190,16 +176,16 @@ impl<'s> BettingGame<'s> {
     /// thresholded against every `α` — a class satisfies `K_i^α φ`
     /// exactly when every member space has `(μ_ic)⁎(φ) ≥ α`, i.e. when
     /// the minimum does. Returns one point set per `α`, in `alphas`
-    /// order, each bit-identical to a serial [`BettingGame::k_alpha_points`]
+    /// order, each bit-identical to a [`BettingGame::k_alpha_points`]
     /// call (measures are exact rationals, so per-class thresholding
     /// commutes with the sweep). This is the betting-side consumer of
     /// the one-sweep family evaluation the logic layer's
     /// `pr_ge_family` performs per point.
     ///
-    /// Unlike the serial sweep — whose per-member short-circuit can
+    /// Unlike the single-α sweep — whose per-member short-circuit can
     /// skip building later spaces in a failing class — the family sweep
     /// resolves *every* member's space, so on assignments that violate
-    /// REQ it may surface construction errors the serial path happens
+    /// REQ it may surface construction errors the single-α path happens
     /// to skip. The canonical assignments never error, and the sweeps
     /// agree wherever both succeed.
     ///
@@ -220,76 +206,58 @@ impl<'s> BettingGame<'s> {
             .map(|(_, class)| class)
             .collect();
         let plan = self.opp.sample_plan(self.bettor);
-        let partials = Pool::current().par_map_chunks(classes.len(), CLASS_MIN_CHUNK, |range| {
-            let mut accs: Vec<PointSet> = (0..k).map(|_| self.sys.empty_points()).collect();
-            let mut by_space: std::collections::HashMap<*const DensePointSpace, Rat> =
-                std::collections::HashMap::new();
-            let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
-            kpa_trace::count!("betting.classes_scanned", range.len() as u64);
-            for class in &classes[range] {
-                // One inner measure per distinct member space; the
-                // class verdict for every α follows from the minimum.
-                let mut min_inner: Option<Rat> = None;
-                for d in class.iter() {
-                    let space = match plan.space(d) {
-                        Some(space) => {
-                            plan_hits += 1;
-                            Arc::clone(space)
-                        }
-                        None => {
-                            fallbacks += 1;
-                            self.opp.space(self.bettor, d)?
-                        }
-                    };
-                    let key = Arc::as_ptr(&space);
-                    let inner = match by_space.get(&key) {
-                        Some(&inner) => inner,
-                        None => {
-                            let inner = space.inner_measure(phi);
-                            by_space.insert(key, inner);
-                            inner
-                        }
-                    };
-                    min_inner = Some(match min_inner {
-                        Some(seen) if seen <= inner => seen,
-                        _ => inner,
-                    });
-                }
-                let Some(min_inner) = min_inner else {
-                    continue;
-                };
-                for (acc, alpha) in accs.iter_mut().zip(alphas) {
-                    if min_inner >= *alpha {
-                        acc.union_with(class);
-                    }
-                }
-            }
-            kpa_trace::count!("betting.plan_hit", plan_hits);
-            kpa_trace::count!("betting.plan_fallback", fallbacks);
-            Ok::<Vec<PointSet>, BettingError>(accs)
-        });
         let mut out: Vec<PointSet> = (0..k).map(|_| self.sys.empty_points()).collect();
-        for partial in partials {
-            for (acc, set) in out.iter_mut().zip(partial?) {
-                acc.union_with(&set);
+        let mut by_space: std::collections::HashMap<*const DensePointSpace, Rat> =
+            std::collections::HashMap::new();
+        let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
+        kpa_trace::count!("betting.classes_scanned", classes.len() as u64);
+        for class in classes {
+            // One inner measure per distinct member space; the class
+            // verdict for every α follows from the minimum.
+            let mut min_inner: Option<Rat> = None;
+            for d in class.iter() {
+                let space = match plan.space(d) {
+                    Some(space) => {
+                        plan_hits += 1;
+                        Arc::clone(space)
+                    }
+                    None => {
+                        fallbacks += 1;
+                        self.opp.space(self.bettor, d)?
+                    }
+                };
+                let inner = *by_space
+                    .entry(Arc::as_ptr(&space))
+                    .or_insert_with(|| space.inner_measure(phi));
+                min_inner = Some(match min_inner {
+                    Some(seen) if seen <= inner => seen,
+                    _ => inner,
+                });
+            }
+            let Some(min_inner) = min_inner else {
+                continue;
+            };
+            for (acc, alpha) in out.iter_mut().zip(alphas) {
+                if min_inner >= *alpha {
+                    acc.union_with(class);
+                }
             }
         }
+        kpa_trace::count!("betting.plan_hit", plan_hits);
+        kpa_trace::count!("betting.plan_fallback", fallbacks);
         Ok(out)
     }
 
     /// Shared sweep shape of [`BettingGame::safe_points`] and
     /// [`BettingGame::k_alpha_points`]: absorb every bettor class whose
-    /// members' `Tree^j` spaces all pass `pred`, chunking the class
-    /// list across the pool. The bettor's batched
-    /// [`kpa_assign::SamplePlan`] is fetched once, outside the fan-out,
-    /// so the per-point space resolution inside every chunk is a table
-    /// lookup (with per-point fallback where the plan has no entry —
-    /// reproducing the unplanned per-point errors exactly). Partials
-    /// union in chunk order (= class-list order), so the output set is
-    /// independent of scheduling.
+    /// members' `Tree^j` spaces all pass `pred`, in class-list order.
+    /// The bettor's batched [`kpa_assign::SamplePlan`] is fetched once,
+    /// so the per-point space resolution is a table lookup (with
+    /// per-point fallback where the plan has no entry — reproducing the
+    /// unplanned per-point errors exactly).
     fn class_sweep(
         &self,
-        pred: impl Fn(&DensePointSpace) -> Result<bool, BettingError> + Sync,
+        pred: impl Fn(&DensePointSpace) -> Result<bool, BettingError>,
     ) -> Result<PointSet, BettingError> {
         kpa_trace::count!("betting.class_sweeps");
         let _sweep_timer = kpa_trace::span!("betting.class_sweep_ns");
@@ -299,44 +267,35 @@ impl<'s> BettingGame<'s> {
             .map(|(_, class)| class)
             .collect();
         let plan = self.opp.sample_plan(self.bettor);
-        let partials = Pool::current().par_map_chunks(classes.len(), CLASS_MIN_CHUNK, |range| {
-            let mut acc = self.sys.empty_points();
-            let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
-            kpa_trace::count!("betting.classes_scanned", range.len() as u64);
-            for class in &classes[range] {
-                let all_pass =
-                    class
-                        .iter()
-                        .try_fold(true, |ok, d| -> Result<bool, BettingError> {
-                            // Space resolution stays behind the
-                            // short-circuit, exactly like the unplanned
-                            // per-point sweep it replaces.
-                            Ok(ok && {
-                                let space = match plan.space(d) {
-                                    Some(space) => {
-                                        plan_hits += 1;
-                                        Arc::clone(space)
-                                    }
-                                    None => {
-                                        fallbacks += 1;
-                                        self.opp.space(self.bettor, d)?
-                                    }
-                                };
-                                pred(&space)?
-                            })
-                        })?;
-                if all_pass {
-                    acc.union_with(class);
+        let mut acc = self.sys.empty_points();
+        let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
+        kpa_trace::count!("betting.classes_scanned", classes.len() as u64);
+        for class in classes {
+            let mut all_pass = true;
+            for d in class.iter() {
+                // Space resolution stays behind the short-circuit,
+                // exactly like the unplanned per-point sweep.
+                let space = match plan.space(d) {
+                    Some(space) => {
+                        plan_hits += 1;
+                        Arc::clone(space)
+                    }
+                    None => {
+                        fallbacks += 1;
+                        self.opp.space(self.bettor, d)?
+                    }
+                };
+                if !pred(&space)? {
+                    all_pass = false;
+                    break;
                 }
             }
-            kpa_trace::count!("betting.plan_hit", plan_hits);
-            kpa_trace::count!("betting.plan_fallback", fallbacks);
-            Ok::<PointSet, BettingError>(acc)
-        });
-        let mut acc = self.sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial?);
+            if all_pass {
+                acc.union_with(class);
+            }
         }
+        kpa_trace::count!("betting.plan_hit", plan_hits);
+        kpa_trace::count!("betting.plan_fallback", fallbacks);
         Ok(acc)
     }
 
@@ -445,24 +404,13 @@ impl<'s> BettingGame<'s> {
     /// As [`BettingGame::tree_safe_at`].
     pub fn proposition6_holds(&self, rule: &BetRule) -> Result<bool, BettingError> {
         let _sweep_timer = kpa_trace::span!("betting.prop6_ns");
-        let points: Vec<PointId> = self.sys.points().collect();
-        let partials = Pool::current().par_map_chunks(points.len(), POINT_MIN_CHUNK, |range| {
-            kpa_trace::count!("betting.prop6_points", range.len() as u64);
-            for &c in &points[range] {
-                if self.tree_safe_at(c, rule)? != self.is_safe_at(c, rule)? {
-                    return Ok(false);
-                }
+        kpa_trace::count!("betting.prop6_points", self.sys.point_count() as u64);
+        for c in self.sys.points() {
+            if self.tree_safe_at(c, rule)? != self.is_safe_at(c, rule)? {
+                return Ok(false);
             }
-            Ok::<bool, BettingError>(true)
-        });
-        // Conjunction in chunk order: the exact boolean a serial sweep
-        // computes (each chunk short-circuits internally; `&&` over the
-        // ordered chunks is associative and exact).
-        let mut all = true;
-        for partial in partials {
-            all = all && partial?;
         }
-        Ok(all)
+        Ok(true)
     }
 }
 

@@ -38,17 +38,10 @@ use crate::error::LogicError;
 use crate::formula::Formula;
 use kpa_assign::{AssignCore, Assignment, DensePointSpace, SamplePlan, ShardMap};
 use kpa_measure::Rat;
-use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, PointSet, System};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// Minimum local classes per chunk before `knows_set` fans out.
-const KNOWS_MIN_CHUNK: usize = 8;
-
-/// Minimum points per chunk before `pr_ge_set` fans out.
-const PR_MIN_CHUNK: usize = 64;
 
 /// The three evaluation memos, each a sharded concurrent map:
 ///
@@ -62,7 +55,7 @@ const PR_MIN_CHUNK: usize = 64;
 ///   `(agent, set)`-keyed knows memo — one map means the structural
 ///   and set-level caches cannot drift;
 /// * `pr` — `(space identity, sat set) → (μ_ic)⁎(sat)`, shared across
-///   chunks, thresholds `α`, and formulas. Every entry one sweep files
+///   sweeps, thresholds `α`, and formulas. Every entry one sweep files
 ///   shares that sweep's one `Arc` of the set; keys hash and compare by
 ///   value, so later sweeps over an equal set hit.
 ///
@@ -304,8 +297,8 @@ impl EvalView<'_> {
     /// serially (formula cache + interned `Pr_i ≥ α ⌜S⌝` subterm), and
     /// the answers are bit-identical to k serial [`EvalView::sat`]
     /// calls — thresholding a class once per α against the same exact
-    /// rational measure is the same comparison the serial sweep makes,
-    /// and partial unions combine in the same chunk order.
+    /// rational measure is the same comparison the single-α sweep
+    /// makes.
     pub(crate) fn pr_ge_family(
         &self,
         agent: AgentId,
@@ -368,57 +361,46 @@ impl EvalView<'_> {
     ) -> Result<Vec<PointSet>, LogicError> {
         let sys = self.sys;
         let k = alphas.len();
-        let points: Vec<PointId> = sys.points().collect();
-        // One exact-footprint pass before the fan-out: every class
-        // space below measures this set through its footprint hint, so
-        // the tightest range multiplies across thousands of queries.
-        // The copy is shared by every `Pr`-memo key the sweep files.
+        // One exact-footprint pass before the sweep: every class space
+        // below measures this set through its footprint hint, so the
+        // tightest range multiplies across thousands of queries. The
+        // copy is shared by every `Pr`-memo key the sweep files.
         let sat = &Arc::new({
             let mut s = sat.clone();
             s.tighten_footprint();
             s
         });
-        // Fetched once per sweep, outside the fan-out, so chunks share
-        // one immutable table; the artifact's plan slots are write-once,
-        // so the warm fetch is a single atomic load.
+        // The artifact's plan slots are write-once, so the warm fetch
+        // is a single atomic load.
         let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
-        let partials = Pool::current().par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
-            let mut accs: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
-            let mut by_space: HashMap<*const DensePointSpace, Vec<bool>> = HashMap::new();
-            let mut hits = 0u64;
-            let mut fallbacks = 0u64;
-            for &c in &points[range] {
-                let space = match plan.as_ref().and_then(|p| p.space(c)) {
-                    Some(space) => {
-                        hits += 1;
-                        Arc::clone(space)
-                    }
-                    None => {
-                        fallbacks += 1;
-                        self.core.space(sys, agent, c)?
-                    }
-                };
-                let key = Arc::as_ptr(&space);
-                let verdicts = &*by_space.entry(key).or_insert_with(|| {
-                    let inner = self.inner_of(&space, sat);
-                    alphas.iter().map(|alpha| inner >= *alpha).collect()
-                });
-                for (acc, &ok) in accs.iter_mut().zip(verdicts) {
-                    if ok {
-                        acc.insert(c);
-                    }
+        let _sweep_timer = kpa_trace::span!("logic.pr_sweep_ns");
+        let mut out: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
+        // One verdict row per distinct space, for the whole sweep.
+        let mut by_space: HashMap<*const DensePointSpace, Vec<bool>> = HashMap::new();
+        let (mut hits, mut fallbacks) = (0u64, 0u64);
+        for c in sys.points() {
+            let space = match plan.as_ref().and_then(|p| p.space(c)) {
+                Some(space) => {
+                    hits += 1;
+                    Arc::clone(space)
+                }
+                None => {
+                    fallbacks += 1;
+                    self.core.space(sys, agent, c)?
+                }
+            };
+            let verdicts = &*by_space.entry(Arc::as_ptr(&space)).or_insert_with(|| {
+                let inner = self.inner_of(&space, sat);
+                alphas.iter().map(|alpha| inner >= *alpha).collect()
+            });
+            for (acc, &ok) in out.iter_mut().zip(verdicts) {
+                if ok {
+                    acc.insert(c);
                 }
             }
-            kpa_trace::count!("logic.plan_hit", hits);
-            kpa_trace::count!("logic.plan_fallback", fallbacks);
-            Ok::<Vec<PointSet>, LogicError>(accs)
-        });
-        let mut out: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
-        for partial in partials {
-            for (acc, set) in out.iter_mut().zip(partial?) {
-                acc.union_with(&set);
-            }
         }
+        kpa_trace::count!("logic.plan_hit", hits);
+        kpa_trace::count!("logic.plan_fallback", fallbacks);
         Ok(out)
     }
 
@@ -445,34 +427,24 @@ impl EvalView<'_> {
     }
 
     /// `knows_set` without consulting or filling the memo: the direct
-    /// per-class subset scan, parallelized over chunks of the agent's
-    /// local-class list. Partial unions combine in chunk order, so the
-    /// result is bit-identical at any thread count.
+    /// per-class subset scan over the agent's local classes.
     pub(crate) fn knows_set_fresh(&self, agent: AgentId, sat: &PointSet) -> PointSet {
         kpa_trace::count!("logic.knows_scan");
-        let sys = self.sys;
-        let classes: Vec<&PointSet> = sys.local_classes(agent).map(|(_, class)| class).collect();
-        let partials = Pool::current().par_map_chunks(classes.len(), KNOWS_MIN_CHUNK, |range| {
-            let mut acc = sys.empty_points();
-            for class in &classes[range] {
-                if class.is_subset(sat) {
-                    acc.union_with(class);
-                }
+        let _sweep_timer = kpa_trace::span!("logic.knows_sweep_ns");
+        let mut acc = self.sys.empty_points();
+        for (_, class) in self.sys.local_classes(agent) {
+            if class.is_subset(sat) {
+                acc.union_with(class);
             }
-            acc
-        });
-        let mut acc = sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial);
         }
         acc
     }
 
     /// `Prᵢ(S) ≥ α` as a set. See
     /// [`Model::pr_ge_set`](crate::Model::pr_ge_set) for the full
-    /// contract; the sweep is chunk-deterministic and every cache it
-    /// consults stores pure functions of its keys, so partials stay
-    /// bit-identical to a serial, memo-free, unplanned sweep.
+    /// contract; every cache the sweep consults stores pure functions
+    /// of its keys, so the set is bit-identical to a memo-free,
+    /// unplanned sweep.
     pub(crate) fn pr_ge_set(
         &self,
         agent: AgentId,
@@ -510,7 +482,7 @@ impl EvalView<'_> {
     /// memo when enabled. The memo key pairs the space cache `Arc`'s
     /// address (stable for the life of the core — the space cache never
     /// evicts) with the sat set, shared by `Arc` and compared by value.
-    /// Concurrent chunks may compute the same measure once each before
+    /// Concurrent queries may compute the same measure once each before
     /// one insert wins; the value is a pure function of the key, so
     /// results are unaffected.
     fn inner_of(&self, space: &Arc<DensePointSpace>, sat: &Arc<PointSet>) -> Rat {

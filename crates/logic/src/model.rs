@@ -17,10 +17,8 @@
 //!
 //! The two scans that dominate model checking — the per-class subset
 //! test behind `Kᵢ` and the per-point space sweep behind `Prᵢ ≥ α` —
-//! run on the in-repo [`kpa_pool`] work-stealing pool. Both reduce by
-//! unioning fixed-boundary chunk partials in chunk order, so the
-//! resulting bitsets are bit-identical to a serial evaluation at any
-//! thread count (see `DESIGN.md`, "Deterministic parallel sweeps").
+//! are plain loops on the calling thread (see `DESIGN.md`, "Sweeps on
+//! the calling thread").
 //!
 //! # Facade status
 //!
@@ -264,9 +262,7 @@ impl<'a, 's> Model<'a, 's> {
     }
 
     /// `knows_set` without consulting or filling the memo: the direct
-    /// per-class fixpoint scan, parallelized over chunks of the agent's
-    /// local-class list. Partial unions combine in chunk order, so the
-    /// result is bit-identical at any thread count.
+    /// per-class subset scan over the agent's local classes.
     #[must_use]
     pub fn knows_set_fresh(&self, agent: AgentId, sat: &PointSet) -> PointSet {
         self.view().knows_set_fresh(agent, sat)
@@ -277,19 +273,18 @@ impl<'a, 's> Model<'a, 's> {
     ///
     /// Uniform assignments repeat one space across each whole
     /// indistinguishability class; the measure query runs *once per
-    /// distinct space*, not once per point: a chunk-local verdict memo
-    /// short-circuits repeats within a chunk, and the model-level
+    /// distinct space*, not once per point: a sweep-local verdict memo
+    /// short-circuits repeats within the sweep, and the model-level
     /// [`Model::pr_memo_enabled`] memo — keyed by (space identity,
     /// sat set, shared by `Arc`) and valued by the inner measure — shares
-    /// the query across chunks, thresholds α, and formulas. When the
+    /// the query across sweeps, thresholds α, and formulas. When the
     /// sample plan is enabled the per-point *space lookup* is a table
     /// index into the agent's batched [`kpa_assign::SamplePlan`] (same
     /// `Arc`s as the naive path, so memo keys are unchanged); points
     /// the plan does not cover fall back to the per-point path,
     /// reproducing its exact errors. All of these cache pure functions
-    /// of their keys, so partials stay bit-identical to the serial,
-    /// memo-free, unplanned sweep, and unions combine in chunk
-    /// (= ascending point) order.
+    /// of their keys, so the set is bit-identical to the memo-free,
+    /// unplanned sweep.
     ///
     /// # Errors
     ///

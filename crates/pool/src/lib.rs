@@ -1,732 +1,35 @@
-//! # kpa-pool — in-repo deterministic work-stealing thread pool
+//! # kpa-pool — the retired sweep-width knob, kept as two pass-throughs
 //!
-//! The paper's semantics decompose every global question — `Model::sat`
-//! model checking, betting-game safety decisions (Theorems 7–9), and
-//! asynchrony cut bounds (Proposition 10) — into independent sweeps
-//! over disjoint slices of the dense point universe: the point
-//! `(tree, run, time)` lives at index `tree_base[tree] + run·(h+1) +
-//! time`, so per-tree (and per-run-range) slices are contiguous,
-//! non-overlapping index ranges. This crate parallelizes those sweeps
-//! with a rayon-style *scoped* work-stealing pool built only on `std`,
-//! keeping the workspace hermetic (no external dependencies, builds
-//! `--offline`).
+//! Every engine sweep — the `K_i` class scan, the `Pr_i ≥ α` point
+//! sweep, the betting safety decisions and the asynchrony cut bounds —
+//! runs as a plain loop on the calling thread. Concurrency lives one
+//! level up, where the traffic has it: one `kpa-serve` thread per
+//! connection over a shared `Arc<ModelArtifact>`.
 //!
-//! ## Determinism contract
-//!
-//! Parallel results are **bit-identical to serial** results, by
-//! construction:
-//!
-//! * Work is split into slices with *fixed* boundaries computed from
-//!   `(len, threads)` — never by adaptive splitting. Stealing only
-//!   changes *which worker executes* a slice, not what the slice is.
-//! * Every slice writes its partial result into a slot indexed by its
-//!   slice number; callers receive partials in slice order and must
-//!   combine them in that order (never completion order).
-//! * Reductions used by the workspace are exact and associative
-//!   (bitset union/intersection, exact [`Rat`] sums, `bool` and/or,
-//!   min/max), so even the slice-boundary differences between pools of
-//!   different sizes cannot change the combined value.
-//!
-//! The differential suite (`tests/parallel_differential.rs`) asserts
-//! the contract end to end across `threads ∈ {1, 2, N}`, and the
-//! fault-injection mode ([`Pool::with_fault_seed`]) randomizes steal
-//! order to shake out any accidental dependence on execution order.
-//!
-//! ## Configuration
-//!
-//! The worker count comes from, in priority order:
-//!
-//! 1. a [`with_threads`] override (scoped, per thread of control);
-//! 2. the `KPA_THREADS` environment variable (`0` or unset = auto);
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! At `threads = 1` every primitive degenerates to inline serial
-//! execution with no thread spawns, no locks taken, and no allocation
-//! beyond the result vector — the serial fallback *is* the serial code
-//! path.
-//!
-//! Workers are scoped: each parallel call spawns its workers via
-//! [`std::thread::scope`], which lets tasks borrow from the caller's
-//! stack without `unsafe` (the crate is `#![forbid(unsafe_code)]`).
-//! Sweeps in this workspace are coarse (milliseconds), so the
-//! microsecond-scale spawn cost is noise; in exchange the pool needs no
-//! global state, no leaked arenas, and no lifetime erasure.
-//!
-//! Nested parallel calls from inside a worker run serially (a worker
-//! is already one strand of an enclosing parallel region), so
-//! composing parallel sweeps cannot oversubscribe the machine.
-//!
-//! ## Observability
-//!
-//! With `KPA_TRACE=1` (or `kpa_trace::set_enabled(true)`) the pool
-//! reports, per parallel region and per worker, into the global
-//! `kpa-trace` registry: `pool.tasks` (tasks executed), `pool.steals`
-//! (tasks taken from a victim's deque), `pool.serial_tasks` (tasks run
-//! on the inline serial path), the `pool.chunk_size` / `pool.chunks`
-//! histograms (what [`Pool::par_map_chunks`] actually chose — the
-//! input to any `min_chunk` tuning), and the `pool.busy_ns` /
-//! `pool.idle_ns` histograms (one sample per worker: time inside tasks
-//! vs. time spinning/stealing). Each executed task is additionally
-//! timed by a `pool.chunk_ns` span, and parallel regions forward the
-//! submitting thread's ambient `kpa_trace::TraceId` into their
-//! workers, so chunk spans executed on other threads still stitch
-//! into the submitting request's span tree. Tracing never changes
-//! which slice a task covers, so the determinism contract is
-//! untouched; disabled, it costs one relaxed load per region or task
-//! batch.
-//!
-//! [`Rat`]: https://docs.rs/kpa-measure
+//! What is left here are the two entry points the shared benchmark
+//! (`kpabench/`) still calls: [`default_threads`], which reports the
+//! sweep width (always 1), and [`with_threads`], which runs its closure
+//! unchanged. The next change to the benchmark can drop those two
+//! calls, and this crate with them.
 //!
 //! # Examples
 //!
 //! ```
-//! use kpa_pool::Pool;
-//!
-//! // Sum of squares, computed over 4 fixed slices by up to 4 workers;
-//! // partials come back in slice order.
-//! let pool = Pool::new(4);
-//! let partials = pool.par_map_chunks(1_000, 64, |r| r.map(|i| i * i).sum::<usize>());
-//! let total: usize = partials.iter().sum();
-//! assert_eq!(total, (0..1_000).map(|i| i * i).sum());
+//! assert_eq!(kpa_pool::default_threads(), 1);
+//! assert_eq!(kpa_pool::with_threads(4, || 6 * 7), 42);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Hard cap on the worker count (guards against absurd `KPA_THREADS`).
-pub const MAX_THREADS: usize = 64;
-
-/// Maximum slices handed out per worker by [`Pool::par_map_chunks`]:
-/// enough slack for stealing to balance uneven slices without making
-/// the per-slice overhead visible.
-const CHUNKS_PER_THREAD: usize = 4;
-
-thread_local! {
-    /// Scoped override installed by [`with_threads`].
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Whether the current thread is executing inside a pool worker
-    /// (nested parallel calls then run serially).
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// The process-wide default worker count: `KPA_THREADS` if set to a
-/// positive integer (`0` and garbage mean "auto"), else
-/// [`std::thread::available_parallelism`], capped at [`MAX_THREADS`].
-///
-/// The environment is read once and cached; use [`with_threads`] to
-/// vary the count within a process (the differential tests do).
+/// The width every engine sweep runs at: always 1, the calling thread.
 #[must_use]
 pub fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let from_env = std::env::var("KPA_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1);
-        from_env
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .min(MAX_THREADS)
-    })
+    1
 }
 
-/// The worker count a [`Pool::current`] pool would use right now:
-/// `1` inside a pool worker, else the innermost [`with_threads`]
-/// override, else [`default_threads`].
-#[must_use]
-pub fn current_threads() -> usize {
-    if IN_WORKER.with(Cell::get) {
-        return 1;
-    }
-    THREAD_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or_else(default_threads)
-}
-
-/// Runs `f` with the pool worker count pinned to `threads` (min 1) on
-/// this thread of control, restoring the previous setting afterwards
-/// (also on panic). Overrides nest.
-///
-/// This is how the differential tests and benches compare
-/// `threads = 1` against `threads = k` within one process.
-pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = THREAD_OVERRIDE.with(|c| c.replace(Some(threads.clamp(1, MAX_THREADS))));
-    let _restore = Restore(prev);
+/// Runs `f` on the calling thread and returns its result; `threads` is
+/// ignored, because every sweep is serial.
+pub fn with_threads<T>(_threads: usize, f: impl FnOnce() -> T) -> T {
     f()
-}
-
-/// A work-stealing pool configuration: worker count plus an optional
-/// fault-injection seed. Copyable and cheap — workers are spawned per
-/// parallel call ([`std::thread::scope`]), not kept resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pool {
-    threads: usize,
-    fault_seed: Option<u64>,
-}
-
-impl Pool {
-    /// A pool with exactly `threads` workers (min 1, capped at
-    /// [`MAX_THREADS`]).
-    #[must_use]
-    pub fn new(threads: usize) -> Pool {
-        Pool {
-            threads: threads.clamp(1, MAX_THREADS),
-            fault_seed: None,
-        }
-    }
-
-    /// The ambient pool: worker count from [`current_threads`]
-    /// (`KPA_THREADS` / [`with_threads`] / auto). This is what the
-    /// engine sweeps call at each parallel region.
-    #[must_use]
-    pub fn current() -> Pool {
-        Pool::new(current_threads())
-    }
-
-    /// Enables seeded fault injection: workers draw their steal-victim
-    /// order (and their own pop end) from a per-worker deterministic
-    /// RNG, exploring execution orders a quiet machine would never
-    /// produce. Results must still be bit-identical — the unit and
-    /// differential tests run under several seeds to prove it.
-    #[must_use]
-    pub fn with_fault_seed(mut self, seed: u64) -> Pool {
-        self.fault_seed = Some(seed);
-        self
-    }
-
-    /// The worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Maps `f` over `0..len` with work stealing; results come back in
-    /// index order. One task per index — use this when each index is
-    /// already coarse (a whole computation tree, a whole class chunk).
-    pub fn par_map<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_indexed(len, &f)
-    }
-
-    /// Per-tree sweep: maps `f` over the tree indices `0..tree_count`.
-    /// In the dense point layout every tree is a disjoint word range,
-    /// so per-tree partial `PointSet`s touch disjoint bits (up to the
-    /// shared boundary words, which ordered union combines exactly).
-    /// Combine the returned partials **in tree-index order**.
-    pub fn par_map_trees<T, F>(&self, tree_count: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_indexed(tree_count, &f)
-    }
-
-    /// Splits `0..len` into [`Pool::chunk_count`] contiguous slices
-    /// with fixed boundaries and maps `f` over the slices; results come
-    /// back in slice order. This is the workhorse for sweeps over the
-    /// dense point index (or any flat list): single-tree systems still
-    /// parallelize because runs of one tree are themselves contiguous
-    /// index ranges.
-    ///
-    /// `min_chunk` bounds the splitting: no slice is smaller than it
-    /// (except the whole range), so tiny inputs run serially inline.
-    pub fn par_map_chunks<T, F>(&self, len: usize, min_chunk: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        let chunks = self.chunk_count(len, min_chunk);
-        if len > 0 {
-            // What the splitter actually chose — the observable input
-            // to any `min_chunk` tuning. Boundaries are unaffected.
-            kpa_trace::record!("pool.chunks", chunks);
-            kpa_trace::record!("pool.chunk_size", len / chunks.max(1));
-        }
-        let bound = move |k: usize| k * len / chunks.max(1);
-        self.run_indexed(chunks, &|k| f(bound(k)..bound(k + 1)))
-    }
-
-    /// The number of slices [`Pool::par_map_chunks`] uses for an input
-    /// of `len` items: `len / min_chunk` clamped to `[1, threads · 4]`
-    /// (0 for an empty input). Fixed boundaries are what make partial
-    /// results well defined independently of scheduling.
-    #[must_use]
-    pub fn chunk_count(&self, len: usize, min_chunk: usize) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        (len / min_chunk.max(1)).clamp(1, self.threads * CHUNKS_PER_THREAD)
-    }
-
-    /// Runs `a` and `b`, potentially in parallel, and returns both
-    /// results. `a` runs on the calling thread; `b` on a scoped worker
-    /// (inline when `threads == 1`). Panics propagate.
-    pub fn join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads <= 1 {
-            return (a(), b());
-        }
-        // Forward the submitter's request id so spans inside `b`
-        // stitch into the same trace tree (no-op while tracing is off).
-        let ambient = kpa_trace::enabled().then(kpa_trace::current_trace_id);
-        std::thread::scope(|scope| {
-            let hb = scope.spawn(move || {
-                let _req = ambient.map(kpa_trace::ambient_guard);
-                in_worker(b)
-            });
-            let ra = a();
-            let rb = match hb.join() {
-                Ok(rb) => rb,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            (ra, rb)
-        })
-    }
-
-    /// Structured fork/join over heterogeneous tasks: `f` receives a
-    /// [`Scope`] and may [`Scope::spawn`] any number of `FnOnce()`
-    /// tasks borrowing from the enclosing stack. All spawned tasks have
-    /// run (with work stealing) by the time `scope` returns.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&mut Scope<'env>) -> R) -> R {
-        let mut s = Scope { tasks: Vec::new() };
-        let out = f(&mut s);
-        let tasks: Vec<Mutex<Option<Task<'env>>>> =
-            s.tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.run_indexed(tasks.len(), &|i| {
-            let task = lock(&tasks[i]).take().expect("each task runs exactly once");
-            task();
-        });
-        out
-    }
-
-    /// The scheduling core: executes one task per index of `0..len` on
-    /// `min(threads, len)` workers. Indices are dealt into per-worker
-    /// deques in contiguous blocks; idle workers steal from the back of
-    /// victims' deques. Results land in slots indexed by task id, so
-    /// the output order is the input order regardless of scheduling.
-    fn run_indexed<T, F>(&self, len: usize, f: &F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let workers = self.threads.min(len).max(1);
-        if workers == 1 || len <= 1 {
-            // The serial fallback: no threads, no locks, no stealing.
-            kpa_trace::count!("pool.serial_tasks", len as u64);
-            return (0..len).map(f).collect();
-        }
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w * len / workers..(w + 1) * len / workers).collect()))
-            .collect();
-        let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
-        let remaining = AtomicUsize::new(len);
-        let fault = self.fault_seed;
-        // Forward the submitting thread's request id into the spawned
-        // workers so their chunk spans carry it; worker 0 runs on the
-        // submitting thread and keeps its ambient id naturally.
-        let ambient = kpa_trace::enabled().then(kpa_trace::current_trace_id);
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let (queues, slots, remaining) = (&queues, &slots, &remaining);
-                scope.spawn(move || {
-                    let _req = ambient.map(kpa_trace::ambient_guard);
-                    worker(w, queues, slots, remaining, f, fault);
-                });
-            }
-            worker(0, &queues, &slots, &remaining, f, fault);
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("scheduler ran every task")
-            })
-            .collect()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Pool {
-        Pool::current()
-    }
-}
-
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Collects tasks spawned inside [`Pool::scope`].
-pub struct Scope<'env> {
-    tasks: Vec<Task<'env>>,
-}
-
-impl<'env> Scope<'env> {
-    /// Registers a task; it runs (possibly on another worker) before
-    /// the enclosing [`Pool::scope`] call returns.
-    pub fn spawn(&mut self, f: impl FnOnce() + Send + 'env) {
-        self.tasks.push(Box::new(f));
-    }
-
-    /// The number of tasks spawned so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no task has been spawned yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
-
-impl std::fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope")
-            .field("tasks", &self.tasks.len())
-            .finish()
-    }
-}
-
-/// Locks a mutex, shrugging off poisoning (a poisoned queue or slot
-/// only ever carries plain data; the panic that poisoned it is
-/// propagated separately by the thread scope).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` with the current thread marked as a pool worker, so nested
-/// parallel calls degrade to serial instead of oversubscribing.
-fn in_worker<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_WORKER.with(|c| c.set(self.0));
-        }
-    }
-    let prev = IN_WORKER.with(|c| c.replace(true));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// One worker's loop: drain the own deque front-to-back, then steal
-/// from the back of victims' deques, until no task remains anywhere.
-fn worker<T, F>(
-    w: usize,
-    queues: &[Mutex<VecDeque<usize>>],
-    slots: &[Mutex<Option<T>>],
-    remaining: &AtomicUsize,
-    f: &F,
-    fault_seed: Option<u64>,
-) where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    /// Releases peers if this worker unwinds mid-task: without the
-    /// bailout they would spin on a `remaining` count that can no
-    /// longer reach zero. The scope then propagates the panic.
-    struct Bailout<'a>(&'a AtomicUsize);
-    impl Drop for Bailout<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(0, Ordering::Release);
-            }
-        }
-    }
-    in_worker(|| {
-        let _bailout = Bailout(remaining);
-        let mut rng = fault_seed.map(|s| {
-            // Distinct, deterministic stream per worker.
-            Splitmix(s ^ (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        });
-        let n = queues.len();
-        // Per-worker stats, accumulated locally (no atomics inside the
-        // loop) and flushed to the trace registry once at exit. The
-        // clock is only read while tracing is on.
-        let trace = kpa_trace::enabled();
-        let started = trace.then(std::time::Instant::now);
-        let (mut executed, mut stolen, mut busy_ns) = (0u64, 0u64, 0u64);
-        loop {
-            if remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            let task = match pop_own(&queues[w], rng.as_mut()) {
-                Some(i) => Some(i),
-                None => {
-                    let victim = steal(w, n, queues, rng.as_mut());
-                    if victim.is_some() {
-                        stolen += 1;
-                    }
-                    victim
-                }
-            };
-            match task {
-                Some(i) => {
-                    let t0 = trace.then(std::time::Instant::now);
-                    let value = {
-                        // One span per executed task: the task-grain
-                        // record the chunking autotune reads, carrying
-                        // the forwarded request id.
-                        let _chunk = kpa_trace::span!("pool.chunk_ns");
-                        f(i)
-                    };
-                    if let Some(t0) = t0 {
-                        busy_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    executed += 1;
-                    *lock(&slots[i]) = Some(value);
-                    remaining.fetch_sub(1, Ordering::AcqRel);
-                }
-                None => std::thread::yield_now(),
-            }
-        }
-        if let Some(started) = started {
-            kpa_trace::count!("pool.tasks", executed);
-            kpa_trace::count!("pool.steals", stolen);
-            kpa_trace::record!("pool.busy_ns", busy_ns);
-            let total_ns = started.elapsed().as_nanos() as u64;
-            kpa_trace::record!("pool.idle_ns", total_ns.saturating_sub(busy_ns));
-        }
-    });
-}
-
-/// Pops the next task from the worker's own deque — normally the
-/// front (ascending index order); under fault injection, either end.
-fn pop_own(queue: &Mutex<VecDeque<usize>>, rng: Option<&mut Splitmix>) -> Option<usize> {
-    let mut q = lock(queue);
-    let from_back = match rng {
-        Some(r) => r.next() & 1 == 1,
-        None => false,
-    };
-    if from_back {
-        q.pop_back()
-    } else {
-        q.pop_front()
-    }
-}
-
-/// Steals one task from the back of some victim's deque. The victim
-/// scan order is the ring `w+1, w+2, …` — or, under fault injection, a
-/// freshly drawn random order each attempt.
-fn steal(
-    w: usize,
-    n: usize,
-    queues: &[Mutex<VecDeque<usize>>],
-    rng: Option<&mut Splitmix>,
-) -> Option<usize> {
-    let mut victims: Vec<usize> = (1..n).map(|k| (w + k) % n).collect();
-    if let Some(r) = rng {
-        // Fisher–Yates with the fault stream.
-        for i in (1..victims.len()).rev() {
-            let j = (r.next() % (i as u64 + 1)) as usize;
-            victims.swap(i, j);
-        }
-    }
-    for v in victims {
-        if let Some(task) = lock(&queues[v]).pop_back() {
-            return Some(task);
-        }
-    }
-    None
-}
-
-/// The splitmix64 step — the same generator seeding the workspace's
-/// `Rng64`, reused here for fault-injection scheduling decisions.
-struct Splitmix(u64);
-
-impl Splitmix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serial_pool_is_inline() {
-        let pool = Pool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let out = pool.par_map(5, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
-        // join with one thread runs both closures on this thread.
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn par_map_returns_results_in_index_order() {
-        let pool = Pool::new(4);
-        let out = pool.par_map(100, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_chunks_covers_the_range_exactly_once() {
-        for threads in [1, 2, 3, 8] {
-            let pool = Pool::new(threads);
-            for len in [0usize, 1, 7, 64, 1000] {
-                let chunks = pool.par_map_chunks(len, 8, |r| r.collect::<Vec<usize>>());
-                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                assert_eq!(
-                    flat,
-                    (0..len).collect::<Vec<_>>(),
-                    "threads={threads} len={len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_boundaries_are_fixed_and_ordered() {
-        let pool = Pool::new(4);
-        // Non-commutative reduction (concatenation) must equal serial.
-        let serial: String = (0..257).map(|i| format!("{i},")).collect();
-        let parallel: String = pool
-            .par_map_chunks(257, 16, |r| r.map(|i| format!("{i},")).collect::<String>())
-            .concat();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn fault_injection_preserves_results() {
-        let serial = Pool::new(1).par_map(200, |i| i as u64 * 3 + 1);
-        for seed in 0..16u64 {
-            let pool = Pool::new(4).with_fault_seed(seed);
-            assert_eq!(
-                pool.par_map(200, |i| i as u64 * 3 + 1),
-                serial,
-                "seed {seed}"
-            );
-            let chunked: Vec<u64> = pool
-                .par_map_chunks(200, 8, |r| r.map(|i| i as u64 * 3 + 1).collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(chunked, serial, "chunked, seed {seed}");
-        }
-    }
-
-    #[test]
-    fn join_runs_both_sides() {
-        let pool = Pool::new(2);
-        let xs: Vec<u32> = (0..1000).collect();
-        let (a, b) = pool.join(|| xs.iter().sum::<u32>(), || xs.len());
-        assert_eq!(a, 499_500);
-        assert_eq!(b, 1000);
-    }
-
-    #[test]
-    fn scope_runs_every_task_before_returning() {
-        let pool = Pool::new(3);
-        let flags: Vec<AtomicUsize> = (0..20).map(|_| AtomicUsize::new(0)).collect();
-        pool.scope(|s| {
-            assert!(s.is_empty());
-            for f in &flags {
-                s.spawn(move || {
-                    f.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            assert_eq!(s.len(), 20);
-        });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn nested_parallel_calls_run_serially() {
-        let pool = Pool::new(4);
-        let depths = pool.par_map(8, |_| {
-            // Inside a worker the ambient pool must be serial.
-            assert_eq!(current_threads(), 1);
-            Pool::current().threads()
-        });
-        assert!(depths.iter().all(|&d| d == 1));
-    }
-
-    #[test]
-    fn with_threads_overrides_and_restores() {
-        let ambient = current_threads();
-        let inner = with_threads(3, || {
-            assert_eq!(current_threads(), 3);
-            with_threads(2, current_threads)
-        });
-        assert_eq!(inner, 2);
-        assert_eq!(current_threads(), ambient);
-        // Zero is clamped to one.
-        assert_eq!(with_threads(0, current_threads), 1);
-    }
-
-    #[test]
-    fn default_pool_is_the_ambient_pool() {
-        with_threads(2, || {
-            assert_eq!(Pool::default(), Pool::current());
-            assert_eq!(Pool::default().threads(), 2);
-        });
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let pool = Pool::new(4);
-        assert!(pool.par_map(0, |i| i).is_empty());
-        assert!(pool.par_map_chunks(0, 8, |r| r.len()).is_empty());
-        assert_eq!(pool.chunk_count(0, 8), 0);
-    }
-
-    #[test]
-    fn chunk_count_respects_bounds() {
-        let pool = Pool::new(4);
-        assert_eq!(pool.chunk_count(7, 8), 1); // below min_chunk: one slice
-        assert_eq!(pool.chunk_count(1_000_000, 1), 16); // capped at 4/worker
-        assert!(pool.chunk_count(100, 8) <= 16);
-        // min_chunk of zero is treated as one.
-        assert_eq!(pool.chunk_count(3, 0), 3.clamp(1, 16));
-    }
-
-    #[test]
-    fn worker_panics_propagate_and_release_peers() {
-        let pool = Pool::new(4);
-        let result = std::panic::catch_unwind(|| {
-            pool.par_map(64, |i| {
-                if i == 13 {
-                    panic!("injected failure");
-                }
-                i
-            })
-        });
-        assert!(result.is_err(), "panic must propagate, not hang");
-    }
-
-    #[test]
-    fn stress_many_small_tasks_under_faults() {
-        for seed in [1u64, 42, 0xDEAD_BEEF] {
-            let pool = Pool::new(8).with_fault_seed(seed);
-            let out = pool.par_map(3000, |i| i);
-            assert_eq!(out, (0..3000).collect::<Vec<_>>());
-        }
-    }
 }

@@ -18,7 +18,9 @@
 use kpa_assign::Assignment;
 use kpa_measure::Rat;
 use kpa_protocols as protocols;
-use kpa_system::{PointId, ProtocolBuilder, System, TreeId};
+use kpa_system::{PointId, ProtocolBuilder, System, SystemError, TreeId};
+
+use crate::proto::{codes, ProtoError};
 
 /// The built-in system registry: name, description, default parameter.
 pub const SYSTEMS: &[(&str, &str, usize)] = &[
@@ -167,17 +169,25 @@ pub const SPEC_MAX_ROUNDS: usize = 6;
 /// Rejects empty/oversized specs and non-probability biases before
 /// building; builder errors are forwarded as strings.
 pub fn build_spec_system(spec: &SystemSpec) -> Result<System, String> {
+    spec_system(spec).map_err(|e| e.message)
+}
+
+/// [`build_spec_system`] with the error a `load` answers:
+/// `arith_overflow` when a run probability overflows the exact
+/// rationals, `unknown_system` for every other rejection.
+pub(crate) fn spec_system(spec: &SystemSpec) -> Result<System, ProtoError> {
+    let invalid = |m: String| ProtoError::recoverable(codes::UNKNOWN_SYSTEM, m);
     if spec.agents == 0 || spec.agents > SPEC_MAX_AGENTS {
-        return Err(format!(
+        return Err(invalid(format!(
             "spec.agents must be 1..={SPEC_MAX_AGENTS}, got {}",
             spec.agents
-        ));
+        )));
     }
     if spec.rounds.is_empty() || spec.rounds.len() > SPEC_MAX_ROUNDS {
-        return Err(format!(
+        return Err(invalid(format!(
             "spec.rounds must have 1..={SPEC_MAX_ROUNDS} rounds, got {}",
             spec.rounds.len()
-        ));
+        )));
     }
     let names: Vec<String> = (0..spec.agents).map(|a| format!("p{}", a + 1)).collect();
     let mut b = ProtocolBuilder::new(names.clone());
@@ -191,7 +201,10 @@ pub fn build_spec_system(spec: &SystemSpec) -> Result<System, String> {
     }
     for (k, round) in spec.rounds.iter().enumerate() {
         if !round.bias.is_probability() {
-            return Err(format!("round {k}: bias {} is not in [0, 1]", round.bias));
+            return Err(invalid(format!(
+                "round {k}: bias {} is not in [0, 1]",
+                round.bias
+            )));
         }
         let observers: Vec<&str> = names
             .iter()
@@ -205,7 +218,13 @@ pub fn build_spec_system(spec: &SystemSpec) -> Result<System, String> {
             &observers,
         );
     }
-    b.build().map_err(|e| e.to_string())
+    b.build().map_err(|e| {
+        let code = match e {
+            SystemError::ProbabilityOverflow { .. } => codes::ARITH_OVERFLOW,
+            _ => codes::UNKNOWN_SYSTEM,
+        };
+        ProtoError::recoverable(code, e.to_string())
+    })
 }
 
 /// Resolves an assignment spec (`post`, `fut`, `prior`, `opp:<agent>`)

@@ -83,6 +83,9 @@ pub mod codes {
     pub const UNKNOWN_AGENT: &str = "unknown_agent";
     /// A threshold was not a rational in `[0, 1]` (recoverable).
     pub const BAD_ALPHA: &str = "bad_alpha";
+    /// Exact rational arithmetic overflowed `i128` — e.g. a spec's
+    /// run probabilities multiply past it (recoverable).
+    pub const ARITH_OVERFLOW: &str = "arith_overflow";
     /// The connection sat idle past the server's timeout (fatal).
     pub const IDLE_TIMEOUT: &str = "idle_timeout";
     /// The server is shutting down (fatal).

@@ -11,13 +11,14 @@
 //! # Artifact sharing
 //!
 //! Models are expensive to build and cheap to share: `load` resolves
-//! its `(system, assignment)` pair to a canonical key and consults a
+//! its `(system, assignment)` pair to a canonical key — from the
+//! request alone, before building anything — and consults a
 //! process-wide [`ShardMap`] of [`ModelArtifact`]s. Two sessions
 //! pinning the same pair share one artifact — and therefore one set
 //! of warmed memo tables; the differential suite leans on this to
-//! check that memo sharing never changes answers. Artifacts are built
-//! *outside* the shard lock (first insert wins), matching the map's
-//! contract.
+//! check that memo sharing never changes answers. Only a miss builds
+//! the system and assignment, *outside* the shard lock (first insert
+//! wins), matching the map's contract.
 //!
 //! # Batch semantics
 //!
@@ -30,7 +31,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kpa_assign::ShardMap;
+use kpa_assign::{Assignment, ShardMap};
 use kpa_logic::{parse_in, ModelArtifact};
 use kpa_measure::Rat;
 use kpa_system::{PointId, System, TreeId};
@@ -99,10 +100,12 @@ impl SharedState {
     /// Unknown catalog names, bad assignment specs, and evaluation
     /// failures while warming the all-points set, as strings.
     pub fn preload(&self, system: &str, assignment: &str) -> Result<String, String> {
-        let sys = catalog::build_system(system)?;
-        let assign = catalog::build_assignment(assignment, &sys)?;
         let key = format!("name:{system};assign:{assignment}");
-        let artifact = self.artifact(&key, sys, assign);
+        let artifact = self.artifact(&key, || {
+            let sys = catalog::build_system(system)?;
+            let assign = catalog::build_assignment(assignment, &sys)?;
+            Ok::<_, String>((sys, assign))
+        })?;
         artifact
             .ctx()
             .sat(&kpa_logic::Formula::True)
@@ -110,20 +113,23 @@ impl SharedState {
         Ok(key)
     }
 
-    /// Resolve-or-build an artifact for a canonical key.
-    fn artifact(
+    /// Resolve-or-build an artifact for a canonical key: a hit returns
+    /// the resident artifact without calling `build`; a miss builds
+    /// the system and assignment with it.
+    fn artifact<E>(
         &self,
         key: &str,
-        sys: System,
-        assignment: kpa_assign::Assignment,
-    ) -> Arc<ModelArtifact> {
-        if let Some(a) = self.artifacts.get(&key.to_string()) {
+        build: impl FnOnce() -> Result<(System, Assignment), E>,
+    ) -> Result<Arc<ModelArtifact>, E> {
+        let key = key.to_string();
+        if let Some(a) = self.artifacts.get(&key) {
             self.proc.counter("proc.artifact_hits").add(1);
-            return a;
+            return Ok(a);
         }
+        let (sys, assignment) = build()?;
         self.proc.counter("proc.artifact_builds").add(1);
         let built = Arc::new(ModelArtifact::new(Arc::new(sys), assignment));
-        self.artifacts.insert_or_get(key.to_string(), built)
+        Ok(self.artifacts.insert_or_get(key, built))
     }
 }
 
@@ -252,20 +258,9 @@ impl Session {
         spec: Option<&catalog::SystemSpec>,
         assignment: &str,
     ) -> Result<Value, ProtoError> {
-        let (key_sys, sys) = match (system, spec) {
-            (Some(name), None) => {
-                let sys = catalog::build_system(name)
-                    .map_err(|m| ProtoError::recoverable(codes::UNKNOWN_SYSTEM, m))?;
-                (format!("name:{name}"), sys)
-            }
-            (None, Some(spec)) => {
-                let sys = catalog::build_spec_system(spec)
-                    .map_err(|m| ProtoError::recoverable(codes::UNKNOWN_SYSTEM, m))?;
-                (
-                    format!("spec:{}", crate::proto::spec_to_value(spec).to_json()),
-                    sys,
-                )
-            }
+        let key_sys = match (system, spec) {
+            (Some(name), None) => format!("name:{name}"),
+            (None, Some(spec)) => format!("spec:{}", crate::proto::spec_to_value(spec).to_json()),
             // decode() enforces exactly-one; unreachable over the wire.
             _ => {
                 return Err(ProtoError::recoverable(
@@ -274,21 +269,29 @@ impl Session {
                 ))
             }
         };
-        let assign = catalog::build_assignment(assignment, &sys).map_err(|m| {
-            let code = if assignment.starts_with("opp:") {
-                codes::UNKNOWN_AGENT
-            } else {
-                codes::BAD_REQUEST
-            };
-            ProtoError::recoverable(code, m)
-        })?;
         let key = format!("{key_sys};assign:{assignment}");
+        let artifact = self.shared.artifact(&key, || {
+            let sys = match spec {
+                Some(spec) => catalog::spec_system(spec)?,
+                None => catalog::build_system(system.unwrap_or_default())
+                    .map_err(|m| ProtoError::recoverable(codes::UNKNOWN_SYSTEM, m))?,
+            };
+            let assign = catalog::build_assignment(assignment, &sys).map_err(|m| {
+                let code = if assignment.starts_with("opp:") {
+                    codes::UNKNOWN_AGENT
+                } else {
+                    codes::BAD_REQUEST
+                };
+                ProtoError::recoverable(code, m)
+            })?;
+            Ok((sys, assign))
+        })?;
+        let sys = artifact.system();
         let agents: Vec<Value> = (0..sys.agent_count())
             .map(|a| Value::Str(sys.agent_name(kpa_system::AgentId(a)).to_string()))
             .collect();
         let trees = sys.tree_count();
         let horizon = sys.horizon();
-        let artifact = self.shared.artifact(&key, sys, assign);
         let points = artifact
             .ctx()
             .sat(&kpa_logic::Formula::True)
@@ -683,6 +686,52 @@ mod tests {
 
     fn session() -> Session {
         Session::open(Arc::new(SharedState::new()))
+    }
+
+    #[test]
+    fn a_cache_hit_runs_no_build() {
+        let shared = SharedState::new();
+        let key = "name:secret-coin;assign:post";
+        let builds = std::cell::Cell::new(0);
+        let build = || {
+            builds.set(builds.get() + 1);
+            let sys = catalog::build_system("secret-coin")?;
+            let assign = catalog::build_assignment("post", &sys)?;
+            Ok::<_, String>((sys, assign))
+        };
+        let first = shared.artifact(key, build).unwrap();
+        let second = shared
+            .artifact(key, || -> Result<(System, Assignment), String> {
+                panic!("a cache hit must not build")
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(builds.get(), 1);
+        assert_eq!(shared.proc.counter("proc.artifact_hits").get(), 1);
+        assert_eq!(shared.proc.counter("proc.artifact_builds").get(), 1);
+    }
+
+    #[test]
+    fn a_load_hit_answers_like_the_build() {
+        let shared = Arc::new(SharedState::new());
+        let load = r#"{"v":1,"op":"load","system":"async-coins:3","assignment":"post"}"#;
+        let (built, _) = Session::open(Arc::clone(&shared)).handle(&env(load));
+        let (hit, _) = Session::open(Arc::clone(&shared)).handle(&env(load));
+        assert!(
+            built.to_json().contains("\"ok\":true"),
+            "{}",
+            built.to_json()
+        );
+        assert_eq!(hit.to_json(), built.to_json());
+        assert_eq!(shared.proc.counter("proc.artifact_hits").get(), 1);
+        // A failed build caches nothing: the retry builds (and fails) again.
+        let bad = r#"{"v":1,"op":"load","system":"secret-coin","assignment":"opp:nobody"}"#;
+        for _ in 0..2 {
+            let (frame, after) = Session::open(Arc::clone(&shared)).handle(&env(bad));
+            assert_eq!(after, After::Continue);
+            assert!(frame.to_json().contains("\"error\":\"unknown_agent\""));
+        }
+        assert_eq!(shared.artifact_count(), 1);
     }
 
     #[test]

@@ -489,6 +489,28 @@ mod tests {
     use kpa_measure::rat;
 
     #[test]
+    fn overflowing_run_probabilities_are_an_error() {
+        // 1/(2¹²⁷−25) twice: the run probability's denominator is past
+        // i128, so sealing the tree must refuse, not panic.
+        let tiny = Rat::new(1, 170_141_183_460_469_231_731_687_303_715_884_105_703);
+        let err = ProtocolBuilder::new(["p1", "p2"])
+            .coin("c0", &[("h", tiny), ("t", Rat::ONE - tiny)], &["p1"])
+            .coin("c1", &[("h", tiny), ("t", Rat::ONE - tiny)], &["p2"])
+            .build()
+            .expect_err("the run probability overflows");
+        let SystemError::ProbabilityOverflow { tree } = &err else {
+            panic!("expected ProbabilityOverflow, got {err:?}");
+        };
+        assert!(err.to_string().contains(tree.as_str()));
+        // One round fits: 1/(2¹²⁷−25) is itself representable.
+        let sys = ProtocolBuilder::new(["p1", "p2"])
+            .coin("c0", &[("h", tiny), ("t", Rat::ONE - tiny)], &["p1"])
+            .build()
+            .expect("one round builds");
+        assert_eq!(sys.tree(TreeId(0)).runs().len(), 2);
+    }
+
+    #[test]
     fn single_coin_protocol() {
         let sys = ProtocolBuilder::new(["p1", "p2", "p3"])
             .coin("c", &[("h", rat!(1 / 2)), ("t", rat!(1 / 2))], &["p3"])

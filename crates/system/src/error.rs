@@ -65,6 +65,12 @@ pub enum SystemError {
         /// The step label.
         step: String,
     },
+    /// A run's probability — the product of its edge probabilities —
+    /// does not fit an exact `i128` rational.
+    ProbabilityOverflow {
+        /// The adversary (tree) name.
+        tree: String,
+    },
 }
 
 impl fmt::Display for SystemError {
@@ -96,6 +102,10 @@ impl fmt::Display for SystemError {
             SystemError::EmptyStep { step } => {
                 write!(f, "step {step:?} produced no branches")
             }
+            SystemError::ProbabilityOverflow { tree } => write!(
+                f,
+                "a run probability in tree {tree:?} overflows the exact i128 rationals"
+            ),
         }
     }
 }

@@ -603,8 +603,10 @@ impl SystemBuilder {
     /// Returns [`SystemError::NoAgents`] / [`SystemError::NoTrees`] for
     /// empty rosters, [`SystemError::DuplicateName`] for repeated agent
     /// or adversary names, [`SystemError::DanglingReference`] for a tree
-    /// with no root, and [`SystemError::BadTransitions`] if some node's
-    /// outgoing probabilities do not sum to one.
+    /// with no root, [`SystemError::BadTransitions`] if some node's
+    /// outgoing probabilities do not sum to one, and
+    /// [`SystemError::ProbabilityOverflow`] if some run's probability
+    /// does not fit an exact `i128` rational.
     pub fn build(mut self) -> Result<System, SystemError> {
         kpa_trace::count!("system.builds");
         let _build_timer = kpa_trace::span!("system.build_ns");
@@ -673,7 +675,7 @@ impl SystemBuilder {
                     current = id;
                 }
             }
-            t.seal();
+            t.seal()?;
         }
 
         let point_index = Arc::new(PointIndex::new(

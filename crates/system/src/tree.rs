@@ -7,6 +7,7 @@
 //! every internal node sum to one. The probability of a run is the
 //! product of its edge labels.
 
+use crate::error::SystemError;
 use crate::ids::{NodeId, PropId, Sym};
 use kpa_measure::Rat;
 use std::collections::BTreeSet;
@@ -161,7 +162,13 @@ impl Tree {
     /// Enumerates runs and computes per-node run membership. Assumes
     /// the structure has already been validated (uniform leaf depth,
     /// edge probabilities summing to one).
-    pub(crate) fn seal(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::ProbabilityOverflow`] when some run's probability
+    /// (the product of its edge probabilities) does not fit an exact
+    /// `i128` rational.
+    pub(crate) fn seal(&mut self) -> Result<(), SystemError> {
         let mut runs = Vec::new();
         let mut stack: Vec<(NodeId, Vec<NodeId>, Rat)> =
             vec![(NodeId(0), vec![NodeId(0)], Rat::ONE)];
@@ -174,7 +181,12 @@ impl Tree {
                 for &(child, p) in node.children.iter().rev() {
                     let mut next = path.clone();
                     next.push(child);
-                    stack.push((child, next, prob * p));
+                    let prob =
+                        prob.checked_mul(p)
+                            .ok_or_else(|| SystemError::ProbabilityOverflow {
+                                tree: self.name.clone(),
+                            })?;
+                    stack.push((child, next, prob));
                 }
             }
         }
@@ -187,6 +199,7 @@ impl Tree {
         self.runs = runs;
         self.node_runs = node_runs;
         self.horizon = self.runs.first().map_or(0, |r| r.nodes.len() - 1);
+        Ok(())
     }
 }
 

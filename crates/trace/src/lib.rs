@@ -49,7 +49,7 @@
 //! ## Naming scheme
 //!
 //! `layer.noun[_qualifier]`, dot-separated layers, snake-case leaves:
-//! `pool.steals`, `measure.dense_query`, `assign.space_cache_hit`,
+//! `logic.knows_scan`, `measure.dense_query`, `assign.space_cache_hit`,
 //! `logic.pr_memo_hit`, `betting.class_sweep`. Histograms carry a
 //! unit suffix (`_ns` for nanoseconds, `_len`/`_size` for element
 //! counts). DESIGN.md §3.2e is the canonical registry of names.

@@ -89,7 +89,7 @@ pub fn bucket_floor(k: usize) -> u64 {
 /// Recording touches five relaxed atomics: the bucket, the sample
 /// count, the running sum, and min/max via `fetch_min`/`fetch_max`.
 /// There is no lock and no allocation, so histograms are safe to
-/// record into from every pool worker concurrently.
+/// record into from every query thread concurrently.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],

@@ -7,9 +7,8 @@
 //! **bounded per-thread ring**. Parenthood comes from a thread-local
 //! stack of open spans (RAII nesting), and the trace id from a
 //! thread-local *ambient* id that request handlers set for the
-//! duration of one request ([`ambient_guard`]); `kpa-pool` forwards
-//! the submitter's ambient id into its workers so chunk spans executed
-//! on other threads still stitch into the right request tree.
+//! duration of one request ([`ambient_guard`]). Engine sweeps run on
+//! the thread that handles the request, so their spans carry its id.
 //!
 //! Rings are registered globally on first use per thread, so a
 //! collector ([`snapshot_span_records`] / [`take_span_records`]) can

@@ -3,7 +3,7 @@
 # baselines/ via scripts/check_bench.py.  One file per bench, named
 # after the bench that writes it:
 #
-#   kernel  -> kernel.json + trace.json  dense PointSet sat, pool sweep,
+#   kernel  -> kernel.json + trace.json  dense PointSet sat, cold K^α,
 #                                        dense measure kernel, compiled
 #                                        threshold family, sample plan;
 #                                        trace.json is its traced pass

@@ -21,6 +21,12 @@ cargo fmt --all --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# The workspace tests include every differential suite: the dense
+# measure kernel against the generic scan, the sample plan against the
+# naive per-point path, kpa-trace on against off, M client threads over
+# one Arc<ModelArtifact> against the serial Model facade, and the
+# kpa-serve loopback service against the in-process model (malformed,
+# fuzzed, oversized, and mid-batch-disconnect frames never wedge it).
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
@@ -31,32 +37,6 @@ cargo test -q --offline --workspace
 # build output out of kpabench/.
 echo "==> cargo test --release --offline --locked --manifest-path kpabench/Cargo.toml --target-dir target/kpabench"
 cargo test --release --offline --locked --manifest-path kpabench/Cargo.toml --target-dir target/kpabench
-
-# The serial/parallel differential suites at a pinned serial width and
-# a pinned parallel width: KPA_THREADS=1 is the reference semantics, and
-# KPA_THREADS=4 must reproduce it bit-for-bit regardless of core count.
-# RUST_TEST_THREADS rides along so the sharded case splits inside each
-# binary line up with the pool width (tests/common shards by it).
-# measure_kernel_differential pins the dense word-masked measure kernel
-# against the generic scan, plan_differential pins the batched
-# sample-plan table against the naive per-point path,
-# trace_invisibility pins bit-identical results with kpa-trace off and
-# on, shared_artifact_differential pins M client threads over one
-# Arc<ModelArtifact> against the serial Model facade, and
-# serve_differential/serve_protocol pin the kpa-serve loopback service
-# (wire answers bit-identical to the serial model; malformed, fuzzed,
-# oversized, and mid-batch-disconnect frames never wedge a server),
-# all at each width — the pool width inside the server comes from
-# KPA_THREADS, so the matrix re-certifies the service end to end.
-for threads in 1 4; do
-    echo "==> KPA_THREADS=${threads} RUST_TEST_THREADS=${threads} cargo test -q --offline --test parallel_differential --test memo_consistency --test measure_kernel_differential --test plan_differential --test trace_invisibility --test shared_artifact_differential --test serve_differential --test serve_protocol --test compile_differential"
-    KPA_THREADS="${threads}" RUST_TEST_THREADS="${threads}" cargo test -q --offline \
-        --test parallel_differential --test memo_consistency \
-        --test measure_kernel_differential --test plan_differential \
-        --test trace_invisibility --test shared_artifact_differential \
-        --test serve_differential --test serve_protocol \
-        --test compile_differential
-done
 
 # The bench gate checks itself before anything trusts its PASS: the
 # selftest trips each failure path (profile lookup naming the files,

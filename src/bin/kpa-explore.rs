@@ -14,7 +14,7 @@
 //!
 //! `--trace` enables the `kpa-trace` registry for the query and prints
 //! the counter/histogram table afterwards — cache hit rates, dense
-//! kernel traffic, pool scheduling, build times (equivalently, set
+//! kernel traffic, sweep timings, build times (equivalently, set
 //! `KPA_TRACE=1` in the environment).
 //!
 //! `--trace-events` (implies `--trace`) additionally dumps the

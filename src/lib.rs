@@ -13,8 +13,6 @@
 //! * [`betting`] — the betting game and safe bets (Theorems 7–9);
 //! * [`asynchrony`] — type-3 adversaries: cuts and cut classes;
 //! * [`protocols`] — every system the paper analyzes;
-//! * [`pool`] — the deterministic work-stealing thread pool behind the
-//!   per-tree sweeps (`KPA_THREADS` selects the width);
 //! * [`trace`] — zero-dep counters/histograms/spans across every layer
 //!   (`KPA_TRACE=1` or `trace::set_enabled(true)` switches them on;
 //!   off, they are observationally invisible no-ops);
@@ -24,8 +22,9 @@
 //!
 //! # Example
 //!
-//! The introduction's secret coin, model checked at an explicit thread
-//! count — parallel sweeps are bit-identical to serial by construction:
+//! The introduction's secret coin, model checked. Every sweep runs on
+//! the calling thread; concurrency comes from sharing one
+//! [`logic::ModelArtifact`] across threads:
 //!
 //! ```
 //! use kpa::prelude::*;
@@ -35,12 +34,10 @@
 //!     .build()?;
 //! let post = ProbAssignment::new(&sys, Assignment::post());
 //!
-//! // p1 knows Pr(heads) = 1/2 at time 1 — at any pool width.
+//! // p1 knows Pr(heads) = 1/2 at time 1.
 //! let f = Formula::prop("c=h").k_interval(AgentId(0), rat!(1 / 2), rat!(1 / 2));
-//! let serial = kpa::pool::with_threads(1, || Model::new(&post).sat(&f))?;
-//! let parallel = kpa::pool::with_threads(2, || Model::new(&post).sat(&f))?;
-//! assert_eq!(*serial, *parallel);
-//! assert_eq!(serial.len(), 2);
+//! let sat = Model::new(&post).sat(&f)?;
+//! assert_eq!(sat.len(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -52,7 +49,6 @@ pub use kpa_asynchrony as asynchrony;
 pub use kpa_betting as betting;
 pub use kpa_logic as logic;
 pub use kpa_measure as measure;
-pub use kpa_pool as pool;
 pub use kpa_protocols as protocols;
 pub use kpa_serve as serve;
 pub use kpa_system as system;

@@ -28,7 +28,7 @@ pub fn stream_tag(name: &str) -> u64 {
 /// The seed of case `case` of property `name`. [`cases`] and
 /// [`cases_sharded`] both derive their RNGs from exactly this value, so
 /// the two sweeps explore identical inputs case-for-case (pinned by
-/// `seed_streams_are_pinned` in `tests/parallel_differential.rs`).
+/// `seed_streams_are_pinned` in `tests/random_systems.rs`).
 pub fn case_seed(name: &str, case: usize) -> u64 {
     stream_tag(name) ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

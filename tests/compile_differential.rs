@@ -7,16 +7,13 @@
 //! semantics. These tests hold the compiler to three contracts:
 //!
 //! - **Bit-identity** — `sat_compiled` agrees with `sat` on every
-//!   formula, system, memo configuration, and pool width the sweep
-//!   covers, including the *errors* (same discovery order).
+//!   formula, system, and memo configuration the sweep covers,
+//!   including the *errors* (same discovery order).
 //! - **Structural hash-consing** — equal ASTs compile to equal root
 //!   `TermId`s, shared subtrees intern once, and anything the tree
 //!   walker distinguishes (operand order, thresholds) stays distinct.
 //! - **One-sweep threshold families** — `pr_ge_family` answers
 //!   `Pr_i ≥ α₁…α_k φ` bit-identically to k serial sweeps.
-//!
-//! Pool width comes from `KPA_THREADS` (CI runs this binary at widths
-//! 1 and 4), so the compiled path is also re-certified width-invariant.
 
 mod common;
 
@@ -121,7 +118,7 @@ fn walkthrough_compiled_matches_tree_walker() {
 
 /// Property: on random synchronous and asynchronous systems, the
 /// compiled evaluator reproduces the tree walker bit-for-bit. Sharded
-/// so the fuzz sweep scales; pool width rides along via `KPA_THREADS`.
+/// so the fuzz sweep scales.
 #[test]
 fn random_systems_compiled_matches_tree_walker() {
     cases_sharded("compile_differential_random", |rng| {

@@ -15,8 +15,7 @@
 //! 2. **Value identity** — `pr_ge` families, safety point sets,
 //!    `k_alpha` sets, and cut bounds computed plan-on vs plan-off are
 //!    asserted equal on the paper walkthrough systems plus seeded
-//!    random synchronous and asynchronous systems, at 1 and 4 pool
-//!    threads.
+//!    random synchronous and asynchronous systems.
 //! 3. **Error identity** — points the plan leaves uncovered (custom
 //!    assignments violating REQ1/REQ2) report the exact naive errors
 //!    through the fallback.
@@ -29,7 +28,6 @@ use kpa::asynchrony::CutClass;
 use kpa::betting::{inner_expected_winnings, BetRule, BettingGame, Strategy};
 use kpa::logic::{Formula, Model};
 use kpa::measure::{rat, Rat, Rng64};
-use kpa::pool::with_threads;
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
 use std::sync::Arc;
@@ -131,7 +129,7 @@ fn plan_spaces_are_the_cached_spaces_on_random_systems() {
 }
 
 /// `Pr_i ≥ α` families, plan on vs off (both against the `Model` knob
-/// and the raw assignment), at 1 and 4 pool threads.
+/// and the raw assignment).
 fn assert_pr_family_plan_invariant(sys: &System, assignment: &Assignment, rng: &mut Rng64) {
     let pa_planned = ProbAssignment::new(sys, assignment.clone());
     let pa_naive = ProbAssignment::new(sys, assignment.clone());
@@ -143,21 +141,14 @@ fn assert_pr_family_plan_invariant(sys: &System, assignment: &Assignment, rng: &
     let mut phi = sys.full_points();
     phi.retain(|_| rng.chance(1, 2));
     let alphas = [Rat::ZERO, rat!(1 / 4), rat!(1 / 2), rat!(3 / 4), Rat::ONE];
-    for threads in [1, 4] {
-        with_threads(threads, || {
-            for &alpha in &alphas {
-                let a = planned
-                    .pr_ge_set(agent, alpha, &phi)
-                    .expect("planned pr_ge_set");
-                let b = naive
-                    .pr_ge_set(agent, alpha, &phi)
-                    .expect("naive pr_ge_set");
-                assert_eq!(
-                    a, b,
-                    "plan changed Pr ≥ {alpha} for {assignment:?} at {threads} threads"
-                );
-            }
-        });
+    for &alpha in &alphas {
+        let a = planned
+            .pr_ge_set(agent, alpha, &phi)
+            .expect("planned pr_ge_set");
+        let b = naive
+            .pr_ge_set(agent, alpha, &phi)
+            .expect("naive pr_ge_set");
+        assert_eq!(a, b, "plan changed Pr ≥ {alpha} for {assignment:?}");
     }
     assert!(planned.plan_len() > 0, "the sweep must build the plan");
     assert_eq!(naive.plan_len(), 0);
@@ -196,16 +187,12 @@ fn pr_ge_formula_families_are_plan_invariant_on_walkthroughs() {
             .known_by(p2),
         Formula::prop("c0=h").not().pr_ge(p1, rat!(3 / 4)),
     ];
-    for threads in [1, 4] {
-        with_threads(threads, || {
-            for f in &family {
-                assert_eq!(
-                    *planned.sat(f).expect("planned"),
-                    *naive.sat(f).expect("naive"),
-                    "plan changed the satisfaction set of {f} at {threads} threads"
-                );
-            }
-        });
+    for f in &family {
+        assert_eq!(
+            *planned.sat(f).expect("planned"),
+            *naive.sat(f).expect("naive"),
+            "plan changed the satisfaction set of {f}"
+        );
     }
     // The planned model actually took the table path: its assignment's
     // shared core built a plan, while the plan-disabled model's core
@@ -254,20 +241,16 @@ fn assert_betting_matches_reconstruction(sys: &System, rng: &mut Rng64) {
         }
     }
 
-    for threads in [1, 4] {
-        with_threads(threads, || {
-            assert_eq!(
-                game.safe_points(&rule).expect("safe_points"),
-                expect_safe,
-                "plan-driven safe_points diverged at {threads} threads"
-            );
-            assert_eq!(
-                game.k_alpha_points(&rule).expect("k_alpha_points"),
-                expect_k,
-                "plan-driven k_alpha_points diverged at {threads} threads"
-            );
-        });
-    }
+    assert_eq!(
+        game.safe_points(&rule).expect("safe_points"),
+        expect_safe,
+        "plan-driven safe_points diverged"
+    );
+    assert_eq!(
+        game.k_alpha_points(&rule).expect("k_alpha_points"),
+        expect_k,
+        "plan-driven k_alpha_points diverged"
+    );
     // Spot-check the per-point APIs against the set sweeps.
     for _ in 0..4 {
         let c = sys
@@ -339,15 +322,11 @@ fn cut_bounds_are_plan_invariant() {
 fn prop10_still_holds_under_the_plan() {
     // `prop10_holds` now routes its `pts` side through the posterior
     // plan; the proposition must keep holding on the walkthroughs and
-    // random systems, at 1 and 4 threads.
+    // random systems.
     let sys = async_coin_tosses(4).expect("builds");
     let phi = sys.points_satisfying(sys.prop_id("recent=h").expect("prop"));
-    for threads in [1, 4] {
-        with_threads(threads, || {
-            for agent in (0..sys.agent_count()).map(AgentId) {
-                assert!(kpa::asynchrony::prop10_holds(&sys, agent, &phi).expect("prop10"));
-            }
-        });
+    for agent in (0..sys.agent_count()).map(AgentId) {
+        assert!(kpa::asynchrony::prop10_holds(&sys, agent, &phi).expect("prop10"));
     }
     cases("plan_prop10", |rng| {
         let spec = arb_async_spec(rng);
@@ -393,14 +372,10 @@ fn custom_assignments_fall_back_with_exact_errors() {
     let planned = Model::with_memos(&pa_planned, true, true, true);
     let naive = Model::with_memos(&pa_naive, true, true, false);
     let phi = sys.points_satisfying(sys.prop_id("c=h").expect("prop"));
-    for threads in [1, 4] {
-        with_threads(threads, || {
-            for alpha in [rat!(1 / 2), Rat::ONE] {
-                assert_eq!(
-                    planned.pr_ge_set(p1, alpha, &phi).expect("planned"),
-                    naive.pr_ge_set(p1, alpha, &phi).expect("naive"),
-                );
-            }
-        });
+    for alpha in [rat!(1 / 2), Rat::ONE] {
+        assert_eq!(
+            planned.pr_ge_set(p1, alpha, &phi).expect("planned"),
+            naive.pr_ge_set(p1, alpha, &phi).expect("naive"),
+        );
     }
 }

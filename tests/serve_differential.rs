@@ -16,11 +16,6 @@
 //!   op's `spec` object and checked the same way.
 //! - **Session sharing** — two connections pinning the same pair see
 //!   one artifact in `stats`.
-//!
-//! Pool width inside the server comes from `KPA_THREADS` (CI runs
-//! this binary at widths 1 and 4); the serial ground truth is always
-//! computed at width 1, so these tests also re-certify that the
-//! concurrent query path is width-invariant end to end.
 
 mod common;
 
@@ -28,7 +23,6 @@ use common::{case_seed, cases, CASES};
 use kpa::assign::{Assignment, ProbAssignment};
 use kpa::logic::{parse_in, Model};
 use kpa::measure::{Rat, Rng64};
-use kpa::pool::with_threads;
 use kpa::serve::catalog::{build_assignment, build_spec_system, build_system};
 use kpa::serve::proto::words_from_value;
 use kpa::serve::{Client, QueryItem, QueryKind, ServeConfig, Server, SpecRound, SystemSpec};
@@ -57,23 +51,21 @@ fn formula_family(p: &str, q: &str, a0: &str, a1: &str, group: &str) -> Vec<Stri
     ]
 }
 
-/// Serial ground truth at pool width 1: word vector per formula.
+/// In-process ground truth: word vector per formula.
 fn serial_words(sys: &System, assignment: &Assignment, family: &[String]) -> Vec<Vec<u64>> {
     let pa = ProbAssignment::new(sys, assignment.clone());
     let model = Model::new(&pa);
-    with_threads(1, || {
-        family
-            .iter()
-            .map(|src| {
-                let f = parse_in(src, sys).expect("family parses");
-                model
-                    .sat(&f)
-                    .expect("serial model checks")
-                    .as_words()
-                    .to_vec()
-            })
-            .collect()
-    })
+    family
+        .iter()
+        .map(|src| {
+            let f = parse_in(src, sys).expect("family parses");
+            model
+                .sat(&f)
+                .expect("serial model checks")
+                .as_words()
+                .to_vec()
+        })
+        .collect()
 }
 
 /// Extracts the `words` payload of result row `i`.

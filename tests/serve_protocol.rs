@@ -376,6 +376,28 @@ fn an_i128_edge_threshold_gets_an_answer() {
 }
 
 #[test]
+fn a_spec_whose_run_probabilities_overflow_gets_an_error() {
+    // Two rounds of bias 1/(2¹²⁷−25): the run probability 1/(2¹²⁷−25)²
+    // does not fit an i128 rational. The load must be refused with a
+    // recoverable `arith_overflow` frame, and the connection must
+    // answer the next frame.
+    const FRAME: &str = r#"{"v":1,"op":"load","id":7,"assignment":"post","spec":{"agents":2,"clockless_mask":0,"rounds":[{"bias":"1/170141183460469231731687303715884105703","observers":1},{"bias":"1/170141183460469231731687303715884105703","observers":2}]}}"#;
+    let mut server = Server::bind(tight_config()).expect("bind");
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    c.send_raw(FRAME.as_bytes()).expect("send");
+    let frame = c
+        .recv_frame()
+        .expect("an error frame, not a closed connection");
+    let (code, fatal) = error_of(&frame);
+    assert_eq!(code, "arith_overflow");
+    assert!(!fatal);
+    c.load_named("secret-coin", "post")
+        .expect("the next frame is answered");
+    server.shutdown();
+}
+
+#[test]
 fn idle_sessions_are_reaped() {
     let mut server = Server::bind(tight_config()).expect("bind");
     let mut c = connect(&server);

@@ -6,9 +6,7 @@
 //! table — produce satisfaction sets *bit-identical* to a serial
 //! [`Model`] facade evaluation over the same system. These tests hold
 //! it to that promise on the paper's walkthrough systems and on random
-//! sync/async systems, at pool widths 1 and 4 inside every client
-//! thread, and under seeded pool fault injection that randomizes steal
-//! order.
+//! sync/async systems.
 //!
 //! The client threads deliberately overlap: every thread evaluates the
 //! *same* formula family in a different order, so shard-map races
@@ -17,11 +15,10 @@
 
 mod common;
 
-use common::{arb_async_spec, arb_sync_spec, build, case_seed, cases, prop_names};
+use common::{arb_async_spec, arb_sync_spec, build, cases, prop_names};
 use kpa::assign::{Assignment, ProbAssignment};
-use kpa::logic::{Formula, Model, ModelArtifact, PointSet};
-use kpa::measure::{rat, Rat, Rng64};
-use kpa::pool::{with_threads, Pool};
+use kpa::logic::{Formula, Model, ModelArtifact};
+use kpa::measure::{rat, Rat};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
 use std::sync::Arc;
@@ -53,58 +50,46 @@ fn formula_family(sys: &System, props: &[String]) -> Vec<Formula> {
 }
 
 /// Serial ground truth: the borrowing `Model` facade over the same
-/// system, evaluated at pool width 1, word vectors per formula.
+/// system, word vectors per formula.
 fn serial_words(sys: &System, assignment: &Assignment, family: &[Formula]) -> Vec<Vec<u64>> {
     let pa = ProbAssignment::new(sys, assignment.clone());
     let model = Model::new(&pa);
-    with_threads(1, || {
-        family
-            .iter()
-            .map(|f| {
-                model
-                    .sat(f)
-                    .expect("serial model checks")
-                    .as_words()
-                    .to_vec()
-            })
-            .collect()
-    })
+    family
+        .iter()
+        .map(|f| {
+            model
+                .sat(f)
+                .expect("serial model checks")
+                .as_words()
+                .to_vec()
+        })
+        .collect()
 }
 
 /// Spawns [`CLIENTS`] threads against one shared artifact. Every client
 /// evaluates the whole family (rotated so no two clients agree on the
-/// order), inside its own thread-local pool-width override, and returns
-/// its word vectors in family order; the caller asserts bit-equality
-/// with the serial facade.
-fn hammer_artifact(
-    artifact: &Arc<ModelArtifact>,
-    family: &[Formula],
-    pool_width: usize,
-) -> Vec<Vec<Vec<u64>>> {
+/// order) and returns its word vectors in family order; the caller
+/// asserts bit-equality with the serial facade.
+fn hammer_artifact(artifact: &Arc<ModelArtifact>, family: &[Formula]) -> Vec<Vec<Vec<u64>>> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|client| {
                 let artifact = Arc::clone(artifact);
                 let family = family.to_vec();
                 scope.spawn(move || {
-                    // `with_threads` is a thread-local override: every
-                    // client pins its own pool width, mimicking real
-                    // query threads with private pool configs.
-                    with_threads(pool_width, || {
-                        let ctx = artifact.ctx();
-                        let n = family.len();
-                        let mut words = vec![Vec::new(); n];
-                        for k in 0..n {
-                            let i = (k + client) % n;
-                            words[i] = ctx
-                                .sat(&family[i])
-                                .expect("shared model checks")
-                                .as_words()
-                                .to_vec();
-                        }
-                        assert_eq!(ctx.queries(), n as u64);
-                        words
-                    })
+                    let ctx = artifact.ctx();
+                    let n = family.len();
+                    let mut words = vec![Vec::new(); n];
+                    for k in 0..n {
+                        let i = (k + client) % n;
+                        words[i] = ctx
+                            .sat(&family[i])
+                            .expect("shared model checks")
+                            .as_words()
+                            .to_vec();
+                    }
+                    assert_eq!(ctx.queries(), n as u64);
+                    words
                 })
             })
             .collect();
@@ -121,18 +106,12 @@ fn assert_shared_matches_serial(sys: &System, assignment: Assignment, family: &[
         Arc::new(sys.clone()),
         assignment.clone(),
     ));
-    for pool_width in [1, 4] {
-        for (client, words) in hammer_artifact(&artifact, family, pool_width)
-            .into_iter()
-            .enumerate()
-        {
-            for (f, (got, want)) in family.iter().zip(words.iter().zip(expected.iter())) {
-                assert_eq!(
-                    got, want,
-                    "client {client} (pool width {pool_width}) diverged from the \
-                     serial facade on {f} under {assignment:?}"
-                );
-            }
+    for (client, words) in hammer_artifact(&artifact, family).into_iter().enumerate() {
+        for (f, (got, want)) in family.iter().zip(words.iter().zip(expected.iter())) {
+            assert_eq!(
+                got, want,
+                "client {client} diverged from the serial facade on {f} under {assignment:?}"
+            );
         }
     }
     // The clients warmed the shared memos: later contexts answer from
@@ -152,7 +131,7 @@ fn artifact_is_send_and_sync() {
 
 /// Walkthrough systems: the paper's secret coin, asynchronous coin
 /// tosses, and coordinated attack, each hammered by [`CLIENTS`]
-/// threads × pool widths 1 and 4.
+/// threads.
 #[test]
 fn walkthrough_queries_match_the_serial_facade() {
     let coin = secret_coin().expect("builds");
@@ -201,47 +180,4 @@ fn random_systems_match_the_serial_facade() {
         };
         assert_shared_matches_serial(&sys, assignment, &family);
     });
-}
-
-/// Fault-injected pools must stay invisible through the artifact too:
-/// a faulty steal schedule (hand-driven, since `Pool::current()` never
-/// carries a fault seed) over the artifact's own satisfaction sets
-/// reproduces the context's answer word for word.
-#[test]
-fn fault_injected_artifact_scans_are_deterministic() {
-    let mut rng = Rng64::new(case_seed("shared_artifact_faults", 0));
-    let spec = arb_async_spec(&mut rng);
-    let sys = build(&spec);
-    let props = prop_names(&spec);
-    let body = Formula::prop(&props[0]).pr_ge(AgentId(0), rat!(1 / 2));
-    let f = body.clone().known_by(AgentId(0));
-    let artifact = Arc::new(ModelArtifact::new(
-        Arc::new(sys.clone()),
-        Assignment::post(),
-    ));
-    let ctx = artifact.ctx();
-    let baseline = with_threads(1, || (*ctx.sat(&f).expect("model checks")).clone());
-    let sat = with_threads(1, || (*ctx.sat(&body).expect("model checks")).clone());
-    let classes: Vec<&PointSet> = sys.local_classes(AgentId(0)).map(|(_, cl)| cl).collect();
-    for seed in 0..8u64 {
-        let pool = Pool::new(4).with_fault_seed(seed);
-        let partials = pool.par_map_chunks(classes.len(), 1, |range| {
-            let mut acc = sys.empty_points();
-            for class in &classes[range] {
-                if class.is_subset(&sat) {
-                    acc.union_with(class);
-                }
-            }
-            acc
-        });
-        let mut acc = sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial);
-        }
-        assert_eq!(
-            baseline.as_words(),
-            acc.as_words(),
-            "faulty steal schedule (seed={seed}) leaked through the artifact"
-        );
-    }
 }
