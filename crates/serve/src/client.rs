@@ -15,7 +15,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::catalog::SystemSpec;
-use crate::json::Value;
+use crate::json::{obj, Value};
+use crate::lines::LineBuf;
 use crate::proto::{query_item_to_value, spec_to_value, QueryItem, PROTO_VERSION};
 
 /// Client-side failure: transport trouble, an unparseable reply, or a
@@ -66,7 +67,7 @@ impl From<std::io::Error> for ClientError {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    acc: Vec<u8>,
+    lines: LineBuf,
     next_id: i64,
     read_deadline: Duration,
 }
@@ -93,10 +94,9 @@ impl Client {
     ) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(25)))?;
         Ok(Client {
             stream,
-            acc: Vec::new(),
+            lines: LineBuf::default(),
             next_id: 1,
             read_deadline: deadline,
         })
@@ -132,21 +132,22 @@ impl Client {
     /// `Io` on timeout/EOF, `Malformed` when the line is not a JSON
     /// object.
     pub fn recv_frame(&mut self) -> Result<Value, ClientError> {
-        let start = Instant::now();
+        let deadline = Instant::now() + self.read_deadline;
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = self.acc.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.acc.drain(..=pos).collect();
-                let text = std::str::from_utf8(&line[..pos])
+            if let Some(line) = self.lines.next_line() {
+                let text = std::str::from_utf8(line)
                     .map_err(|_| ClientError::Malformed("reply is not UTF-8".into()))?;
                 return crate::json::parse(text).map_err(|e| ClientError::Malformed(e.to_string()));
             }
-            if start.elapsed() > self.read_deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(ClientError::Io(std::io::Error::new(
                     ErrorKind::TimedOut,
                     "no reply within deadline",
                 )));
             }
+            self.stream.set_read_timeout(Some(left))?;
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     return Err(ClientError::Io(std::io::Error::new(
@@ -154,7 +155,7 @@ impl Client {
                         "server closed the connection",
                     )))
                 }
-                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.lines.push(&chunk[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(ClientError::Io(e)),
@@ -169,20 +170,15 @@ impl Client {
     /// # Errors
     ///
     /// Transport, malformed-reply, and server-error failures.
-    pub fn request(&mut self, op: &str, fields: Vec<(&str, Value)>) -> Result<Value, ClientError> {
+    pub fn request(
+        &mut self,
+        op: &str,
+        mut fields: Vec<(&str, Value)>,
+    ) -> Result<Value, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let mut all = vec![
-            ("v", Value::Int(PROTO_VERSION)),
-            ("op", Value::Str(op.to_string())),
-            ("id", Value::Int(id)),
-        ];
-        all.extend(fields);
-        let mut m = std::collections::BTreeMap::new();
-        for (k, v) in all {
-            m.insert(k.to_string(), v);
-        }
-        let line = Value::Obj(m).to_json();
+        fields.push(("id", Value::Int(id)));
+        let line = Client::bare_request(op, fields).to_json();
         self.send_raw(line.as_bytes())?;
         let frame = self.recv_frame()?;
         match frame.get("ok").and_then(Value::as_bool) {
@@ -336,14 +332,6 @@ impl Client {
             ("op", Value::Str(op.to_string())),
         ];
         all.extend(fields);
-        obj_dyn(all)
+        obj(all)
     }
-}
-
-fn obj_dyn(fields: Vec<(&str, Value)>) -> Value {
-    let mut m = std::collections::BTreeMap::new();
-    for (k, v) in fields {
-        m.insert(k.to_string(), v);
-    }
-    Value::Obj(m)
 }

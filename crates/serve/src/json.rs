@@ -140,8 +140,9 @@ impl Value {
     }
 }
 
-/// Builds an object value from `(key, value)` pairs.
-pub fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+/// Builds an object value from `(key, value)` pairs; a later pair
+/// replaces an earlier one with the same key.
+pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 

@@ -67,6 +67,7 @@
 pub mod catalog;
 pub mod client;
 pub mod json;
+mod lines;
 pub mod proto;
 pub mod server;
 pub mod session;
@@ -75,7 +76,7 @@ pub use catalog::{SpecRound, SystemSpec, SYSTEMS};
 pub use client::{Client, ClientError};
 pub use proto::{QueryItem, QueryKind, PROTO_VERSION};
 pub use server::{ServeConfig, Server};
-pub use session::{standard_alphas, SharedState};
+pub use session::SharedState;
 
 // Re-export the pieces the doc examples above mention.
 #[doc(no_inline)]

@@ -555,16 +555,14 @@ pub fn words_from_value(v: &Value) -> Result<Vec<u64>, String> {
 /// `id` when present.
 #[must_use]
 pub fn ok_frame(op: &str, id: Option<i64>, fields: Vec<(&str, Value)>) -> Value {
-    let mut m = std::collections::BTreeMap::new();
-    m.insert("ok".to_string(), Value::Bool(true));
-    m.insert("op".to_string(), Value::Str(op.to_string()));
-    if let Some(id) = id {
-        m.insert("id".to_string(), Value::Int(id));
-    }
-    for (k, v) in fields {
-        m.insert(k.to_string(), v);
-    }
-    Value::Obj(m)
+    let head = [
+        ("ok", Value::Bool(true)),
+        ("op", Value::Str(op.to_string())),
+    ];
+    obj(head
+        .into_iter()
+        .chain(id.map(|id| ("id", Value::Int(id))))
+        .chain(fields))
 }
 
 /// Serializes a structural spec into its wire object (the inverse of
@@ -656,11 +654,7 @@ pub fn query_item_to_value(item: &QueryItem) -> Value {
             fields.push(("formula", Value::Str(formula.clone())));
         }
     }
-    let mut m = std::collections::BTreeMap::new();
-    for (k, v) in fields {
-        m.insert(k.to_string(), v);
-    }
-    Value::Obj(m)
+    obj(fields)
 }
 
 #[cfg(test)]

@@ -3,43 +3,51 @@
 //!
 //! # Threading model
 //!
-//! One nonblocking accept loop (polled, so shutdown never blocks on
-//! `accept`) plus one thread per live connection. Connections are
-//! bounded by [`ServeConfig::max_conns`]; a connection over the limit
-//! receives a fatal `server_busy` frame and is closed immediately,
-//! rather than queueing invisibly.
+//! One accept thread, polling a nonblocking listener every
+//! [`ServeConfig::poll`], plus one thread per live connection, blocked
+//! in `read`. Connections are bounded by
+//! [`ServeConfig::max_conns`]; a connection over the limit receives a
+//! fatal `server_busy` frame and is closed immediately, rather than
+//! queueing invisibly. The server keeps each live connection's thread
+//! next to a handle to its socket, so shutdown can wake the thread's
+//! read.
 //!
 //! # Framing
 //!
 //! Requests are read with a bounded incremental scanner — bytes are
-//! pulled in small chunks and scanned for `\n`, so a client that
-//! streams an endless line is cut off at [`ServeConfig::max_frame`]
-//! with a fatal `frame_too_long` frame instead of growing the buffer
-//! without bound. Several complete lines arriving in one read are all
-//! processed, in order (pipelining is allowed). Each received frame is
-//! assigned a server-minted trace id, echoed as `trace_id` on its
-//! reply and installed as the handling thread's ambient span id while
-//! `KPA_TRACE=1` — the hook that stitches kernel spans into
-//! per-request trees.
+//! pulled in small chunks and each byte is scanned for `\n` once, so a
+//! client that streams an endless line is cut off at
+//! [`ServeConfig::max_frame`] with a fatal `frame_too_long` frame
+//! instead of growing the buffer without bound. Several complete lines
+//! arriving in one read are all processed, in order (pipelining is
+//! allowed). Each received frame is assigned a server-minted trace id,
+//! echoed as `trace_id` on its reply and installed as the handling
+//! thread's ambient span id while `KPA_TRACE=1` — the hook that
+//! stitches kernel spans into per-request trees.
 //!
 //! # Timeouts and shutdown
 //!
-//! Sockets are read with a short poll timeout; each wakeup checks the
-//! idle clock (fatal `idle_timeout` after [`ServeConfig::idle_timeout`]
-//! of silence) and the server's stop flag (fatal `shutting_down`).
-//! [`Server::shutdown`] flips the flag, joins the accept loop, then
-//! joins every connection thread — so when it returns, no server
-//! thread is running and every client has seen either its reply or a
-//! structured goodbye.
+//! The accept thread is the one server thread that wakes on a timer:
+//! it sees the stop flag within one [`ServeConfig::poll`]. Each
+//! connection's socket has [`ServeConfig::idle_timeout`] as its read
+//! timeout, so a read that times out is the idle reap (fatal
+//! `idle_timeout`). [`Server::shutdown`] sets the stop flag and joins
+//! the accept thread. It then shuts down the read side of every live
+//! socket: each blocked read returns, sees the flag and sends a fatal
+//! `shutting_down` frame, and every connection thread is joined. So
+//! when `shutdown` returns, no server thread is running and every
+//! client has seen either its reply or a structured goodbye. Dropping
+//! a [`Server`] runs the same shutdown.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::json;
+use crate::lines::LineBuf;
 use crate::proto::{codes, decode, ProtoError};
 use crate::session::{After, Session, SharedState};
 
@@ -58,9 +66,11 @@ pub struct ServeConfig {
     /// Maximum items in one `query` batch.
     pub max_batch: usize,
     /// Idle time after which a silent connection is reaped with
-    /// `idle_timeout`.
+    /// `idle_timeout`. It is each connection's socket read timeout, so
+    /// it must be positive: [`Server::bind`] refuses zero.
     pub idle_timeout: Duration,
-    /// Poll granularity for reads, idle checks, and shutdown checks.
+    /// How often the accept loop checks for a new connection and for
+    /// shutdown.
     pub poll: Duration,
 }
 
@@ -77,32 +87,42 @@ impl Default for ServeConfig {
     }
 }
 
-/// A running server: owns the accept loop and every connection
-/// thread. Dropping without [`Server::shutdown`] detaches the threads
-/// (they exit on the stop flag once something wakes them); tests and
-/// the binary always call `shutdown`.
+/// A running server: owns the accept thread and every connection
+/// thread. Dropping it runs [`Server::shutdown`].
 #[derive(Debug)]
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<SharedState>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
 }
+
+/// Each live connection's thread, next to a weak handle to its socket
+/// that shutdown uses to wake the thread's read. The thread holds the
+/// only strong handle, so the socket closes when the thread ends.
+type Conns = Arc<Mutex<Vec<(JoinHandle<()>, Weak<TcpStream>)>>>;
 
 impl Server {
     /// Binds and starts accepting.
     ///
     /// # Errors
     ///
-    /// Propagates bind/configuration I/O errors.
+    /// `InvalidInput` for a zero [`ServeConfig::idle_timeout`];
+    /// otherwise propagates bind/configuration I/O errors.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
+        if config.idle_timeout.is_zero() {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "idle_timeout must be positive",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(SharedState::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::new(Mutex::new(Vec::new()));
         let active = Arc::new(AtomicUsize::new(0));
 
         let accept = {
@@ -142,25 +162,24 @@ impl Server {
     /// server threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
         }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self.conns.lock().expect("conns");
-            guard.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
+        // The accept thread is gone, so no connection joins the
+        // registry after this.
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
+        for socket in conns.iter().filter_map(|(_, socket)| socket.upgrade()) {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        for (thread, _) in conns {
+            let _ = thread.join();
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -169,41 +188,45 @@ fn accept_loop(
     config: &ServeConfig,
     shared: &Arc<SharedState>,
     stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: &Conns,
     active: &Arc<AtomicUsize>,
 ) {
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if active.load(Ordering::SeqCst) >= config.max_conns {
-                    shared.proc().counter("proc.conns_refused").add(1);
-                    refuse(stream);
-                    continue;
-                }
-                let slot = ConnSlot::take(active);
-                shared.proc().counter("proc.conns_opened").add(1);
-                let shared = Arc::clone(shared);
-                let stop = Arc::clone(stop);
-                let config = config.clone();
-                let handle = std::thread::Builder::new()
-                    .name("kpa-serve-conn".to_string())
-                    .spawn(move || {
-                        let _slot = slot;
-                        serve_connection(stream, &config, &shared, &stop);
-                    })
-                    .expect("spawn connection thread");
-                let mut guard = conns.lock().expect("conns");
-                // Reap finished threads so the handle list stays
-                // proportional to live connections, not history.
-                guard.retain(|h| !h.is_finished());
-                guard.push(handle);
-            }
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(config.poll);
+                continue;
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        if active.load(Ordering::SeqCst) >= config.max_conns {
+            shared.proc().counter("proc.conns_refused").add(1);
+            refuse(stream);
+            continue;
         }
+        let socket = Arc::new(stream);
+        let weak = Arc::downgrade(&socket);
+        let slot = ConnSlot::take(active);
+        shared.proc().counter("proc.conns_opened").add(1);
+        let thread = {
+            let shared = Arc::clone(shared);
+            let stop = Arc::clone(stop);
+            let config = config.clone();
+            std::thread::Builder::new()
+                .name("kpa-serve-conn".to_string())
+                .spawn(move || {
+                    let _slot = slot;
+                    serve_connection(&socket, &config, &shared, &stop);
+                })
+                .expect("spawn connection thread")
+        };
+        let mut guard = conns.lock().expect("conns");
+        // Reap finished connections so the registry stays proportional
+        // to live connections, not history.
+        guard.retain(|(thread, _)| !thread.is_finished());
+        guard.push((thread, weak));
     }
 }
 
@@ -227,27 +250,29 @@ impl Drop for ConnSlot {
 }
 
 /// Refuse an over-limit connection with a structured goodbye.
-fn refuse(mut stream: TcpStream) {
+fn refuse(stream: TcpStream) {
     let e = ProtoError::fatal(codes::SERVER_BUSY, "connection limit reached");
-    let mut line = e.frame(None).to_json();
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
+    let _ = send(&stream, &e.frame(None));
 }
 
 /// Sends one frame; `false` means the peer is gone.
-fn send(stream: &mut TcpStream, frame: &json::Value) -> bool {
+fn send(mut stream: &TcpStream, frame: &json::Value) -> bool {
     let mut line = frame.to_json();
     line.push('\n');
     stream.write_all(line.as_bytes()).is_ok()
 }
 
 fn serve_connection(
-    mut stream: TcpStream,
+    mut stream: &TcpStream,
     config: &ServeConfig,
     shared: &Arc<SharedState>,
     stop: &Arc<AtomicBool>,
 ) {
-    if stream.set_read_timeout(Some(config.poll)).is_err() {
+    // Some platforms hand out accepted sockets nonblocking, like the
+    // listener; this thread blocks in `read`.
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_read_timeout(Some(config.idle_timeout)).is_err()
+    {
         return;
     }
     let _ = stream.set_nodelay(true);
@@ -257,65 +282,59 @@ fn serve_connection(
     let proc_frame_ns = shared.proc().histogram("proc.frame_ns");
     let proc_frame_win = shared.proc().rolling("proc.frame_ns");
 
-    let mut acc: Vec<u8> = Vec::new();
+    let mut lines = LineBuf::default();
     let mut chunk = [0u8; 4096];
-    let mut last_activity = Instant::now();
 
     loop {
+        let read = stream.read(&mut chunk);
+        // Shutdown wakes a blocked read; whatever the read returned,
+        // the connection only says goodbye now.
         if stop.load(Ordering::SeqCst) {
             let e = ProtoError::fatal(codes::SHUTTING_DOWN, "server is shutting down");
-            let _ = send(&mut stream, &e.frame(None));
+            let _ = send(stream, &e.frame(None));
             return;
         }
-        match stream.read(&mut chunk) {
+        match read {
             Ok(0) => return, // peer closed (possibly mid-batch; nothing to do)
-            Ok(n) => {
-                last_activity = Instant::now();
-                acc.extend_from_slice(&chunk[..n]);
-                // Handle every complete line in the buffer (pipelining).
-                while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = acc.drain(..=pos).collect();
-                    // Every frame gets a server-minted trace id: it is
-                    // echoed on the reply for correlation, and (while
-                    // KPA_TRACE=1) installed as the thread's ambient
-                    // id so every span under this frame stitches into
-                    // one request tree.
-                    let trace_id = kpa_trace::next_trace_id();
-                    let _req = kpa_trace::ambient_guard(trace_id);
-                    let started = Instant::now();
-                    let done =
-                        handle_line(&line[..pos], &mut stream, &mut session, config, trace_id);
-                    let ns = started.elapsed().as_nanos() as u64;
-                    frame_ns.record(ns);
-                    frame_win.record(ns);
-                    proc_frame_ns.record(ns);
-                    proc_frame_win.record(ns);
-                    if done {
-                        return;
-                    }
-                }
-                if acc.len() > config.max_frame {
-                    let e = ProtoError::fatal(
-                        codes::FRAME_TOO_LONG,
-                        format!(
-                            "request line exceeds {} bytes without a newline",
-                            config.max_frame
-                        ),
-                    );
-                    let _ = send(&mut stream, &e.frame(None));
-                    return;
-                }
-            }
+            Ok(n) => lines.push(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if last_activity.elapsed() >= config.idle_timeout {
-                    shared.proc().counter("proc.idle_reaped").add(1);
-                    let e = ProtoError::fatal(codes::IDLE_TIMEOUT, "connection idle too long");
-                    let _ = send(&mut stream, &e.frame(None));
-                    return;
-                }
+                shared.proc().counter("proc.idle_reaped").add(1);
+                let e = ProtoError::fatal(codes::IDLE_TIMEOUT, "connection idle too long");
+                let _ = send(stream, &e.frame(None));
+                return;
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
+        }
+        // Handle every complete line in the buffer (pipelining).
+        while let Some(line) = lines.next_line() {
+            // Every frame gets a server-minted trace id: it is echoed
+            // on the reply for correlation, and (while KPA_TRACE=1)
+            // installed as the thread's ambient id so every span under
+            // this frame stitches into one request tree.
+            let trace_id = kpa_trace::next_trace_id();
+            let _req = kpa_trace::ambient_guard(trace_id);
+            let started = Instant::now();
+            let done = handle_line(line, stream, &mut session, config, trace_id);
+            let ns = started.elapsed().as_nanos() as u64;
+            frame_ns.record(ns);
+            frame_win.record(ns);
+            proc_frame_ns.record(ns);
+            proc_frame_win.record(ns);
+            if done {
+                return;
+            }
+        }
+        if lines.pending() > config.max_frame {
+            let e = ProtoError::fatal(
+                codes::FRAME_TOO_LONG,
+                format!(
+                    "request line exceeds {} bytes without a newline",
+                    config.max_frame
+                ),
+            );
+            let _ = send(stream, &e.frame(None));
+            return;
         }
     }
 }
@@ -334,7 +353,7 @@ fn tag(mut frame: json::Value, trace_id: kpa_trace::TraceId) -> json::Value {
 /// Processes one request line; `true` means the connection is done.
 fn handle_line(
     raw: &[u8],
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     session: &mut Session,
     config: &ServeConfig,
     trace_id: kpa_trace::TraceId,

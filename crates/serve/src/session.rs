@@ -33,8 +33,7 @@ use std::sync::Arc;
 
 use kpa_assign::{Assignment, ShardMap};
 use kpa_logic::{parse_in, ModelArtifact};
-use kpa_measure::Rat;
-use kpa_system::{PointId, System, TreeId};
+use kpa_system::System;
 use kpa_trace::Scope;
 
 use crate::catalog;
@@ -340,7 +339,7 @@ impl Session {
             })?;
             let mut fields = vec![("id", Value::Int(item.id))];
             fields.extend(row);
-            rows.push(obj_from(fields));
+            rows.push(obj(fields));
         }
         let elapsed = start.elapsed().as_nanos() as u64;
         self.scope.record_windowed("session.query_ns", elapsed);
@@ -486,14 +485,6 @@ impl Drop for Session {
     fn drop(&mut self) {
         self.shared.proc.counter("proc.sessions_closed").add(1);
     }
-}
-
-fn obj_from(fields: Vec<(&str, Value)>) -> Value {
-    let mut m = std::collections::BTreeMap::new();
-    for (k, v) in fields {
-        m.insert(k.to_string(), v);
-    }
-    Value::Obj(m)
 }
 
 /// Renders a [`kpa_trace::TraceReport`] as a wire value: counters
@@ -650,35 +641,12 @@ fn eval_item(
     }
 }
 
-/// Validates a `(tree, run, time)` triple (re-exported for the server
-/// and tests).
-#[allow(dead_code)]
-fn point_id(tree: usize, run: usize, time: usize) -> PointId {
-    PointId {
-        tree: TreeId(tree),
-        run,
-        time,
-    }
-}
-
-/// Convenience: the threshold family `{0, 1/4, 1/2, 3/4, 1}` the soak
-/// bench and tests sweep.
-#[must_use]
-pub fn standard_alphas() -> Vec<Rat> {
-    vec![
-        Rat::ZERO,
-        Rat::new(1, 4),
-        Rat::new(1, 2),
-        Rat::new(3, 4),
-        Rat::ONE,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::parse as jparse;
-    use crate::proto::{decode, QueryItem};
+    use crate::proto::decode;
+    use kpa_measure::Rat;
 
     fn env(line: &str) -> Envelope {
         decode(&jparse(line).unwrap(), 64).unwrap()
@@ -980,18 +948,5 @@ mod tests {
             .unwrap();
         let expected = words_to_value(set.as_words()).to_json();
         assert!(text.contains(&expected), "{text} vs {expected}");
-    }
-
-    #[test]
-    fn standard_alphas_are_probabilities() {
-        for a in standard_alphas() {
-            assert!(a.is_probability());
-        }
-        let _ = QueryItem {
-            id: 0,
-            kind: QueryKind::Sat {
-                formula: "x".into(),
-            },
-        };
     }
 }

@@ -19,7 +19,7 @@ use common::case_seed;
 use kpa::measure::Rng64;
 use kpa::serve::json::Value;
 use kpa::serve::{Client, ClientError, QueryItem, QueryKind, ServeConfig, Server};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A config with short limits, so limit paths run in test time.
 fn tight_config() -> ServeConfig {
@@ -433,8 +433,8 @@ fn connection_limit_is_a_structured_refusal() {
     a.load_named("die", "post").expect("still served");
     drop(a);
     drop(b);
-    // Freed slots readmit new connections (allow a poll tick for the
-    // accept loop to observe the closes).
+    // Freed slots readmit new connections (a slot frees when its
+    // server thread sees the client's close, which races the connect).
     std::thread::sleep(Duration::from_millis(100));
     let mut d = connect(&server);
     d.hello().expect("slot freed");
@@ -468,4 +468,50 @@ fn shutdown_notifies_live_connections() {
     assert!(
         Client::connect_with_deadline(server.local_addr(), Duration::from_millis(200)).is_err()
     );
+}
+
+#[test]
+fn dropping_the_server_notifies_live_connections() {
+    // An idle timeout far past the client's deadline: only the wake-up
+    // from the shutdown that `Drop` runs ends the connection in time.
+    let config = ServeConfig {
+        idle_timeout: Duration::from_secs(60),
+        ..tight_config()
+    };
+    let server = Server::bind(config).expect("bind");
+    let addr = server.local_addr();
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    let started = Instant::now();
+    drop(server);
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "drop waited out the idle timeout"
+    );
+    // The drop runs the full shutdown: a blocked reader is woken and
+    // says goodbye (or the close raced ahead of the read).
+    match c.recv_frame() {
+        Ok(frame) => {
+            let (code, fatal) = error_of(&frame);
+            assert_eq!(code, "shutting_down");
+            assert!(fatal);
+        }
+        Err(ClientError::Io(e)) => {
+            assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "hang after drop");
+        }
+        Err(other) => panic!("unexpected reply after drop: {other}"),
+    }
+    assert!(Client::connect_with_deadline(addr, Duration::from_millis(200)).is_err());
+}
+
+#[test]
+fn a_zero_idle_timeout_is_refused_at_bind() {
+    // A zero idle timeout cannot be a socket read timeout: every
+    // connection would close without a frame.
+    let config = ServeConfig {
+        idle_timeout: Duration::ZERO,
+        ..tight_config()
+    };
+    let err = Server::bind(config).expect_err("bind must refuse a zero idle timeout");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
