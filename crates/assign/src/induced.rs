@@ -11,9 +11,9 @@
 
 use crate::dense::DensePointSpace;
 use crate::error::AssignError;
+use crate::memo::Memo;
 use crate::plan::SamplePlan;
 use crate::sample::Assignment;
-use crate::shard::ShardMap;
 use kpa_measure::{BlockSpace, MemberSet, Rat};
 use kpa_system::{AgentId, PointId, PointSet, System};
 use std::collections::HashSet;
@@ -59,7 +59,7 @@ pub struct ProbAssignment<'s> {
 }
 
 /// The shareable core of a probability assignment: the sample-space
-/// [`Assignment`] together with the sharded space cache and the
+/// [`Assignment`] together with the space cache and the
 /// per-agent sample-plan table, holding **no** borrow of the
 /// [`System`] — every method takes the system as an argument.
 ///
@@ -67,9 +67,9 @@ pub struct ProbAssignment<'s> {
 /// [`ProbAssignment`] pairs a core with a borrowed system for the
 /// classic by-reference API, while `kpa-logic`'s `ModelArtifact`
 /// embeds a core next to an `Arc<System>` so one immutable artifact
-/// can serve queries from any number of threads. All interior state is
-/// sharded (the space cache) or write-once (the plan table) — there is
-/// no global mutex anywhere on the query path.
+/// can serve queries from any number of threads. Interior state is a
+/// [`Memo`] (the space cache, locked for one lookup or insert at a
+/// time) or write-once (the plan table).
 #[derive(Debug)]
 pub struct AssignCore {
     assignment: Assignment,
@@ -78,7 +78,7 @@ pub struct AssignCore {
     /// lookup/insert, never while a space is built, so concurrent
     /// builders of one key race to insert structurally identical
     /// spaces — results are unaffected.
-    cache: ShardMap<(AgentId, PointSet), Arc<DensePointSpace>>,
+    cache: Memo<(AgentId, PointSet), Arc<DensePointSpace>>,
     /// Per-agent batched sample plans, built lazily on first request.
     /// `OnceLock` gives each agent exactly one builder — racers block
     /// on the winner instead of redundantly walking the whole system —
@@ -96,7 +96,7 @@ impl AssignCore {
     pub fn new(assignment: Assignment, agent_count: usize) -> AssignCore {
         AssignCore {
             assignment,
-            cache: ShardMap::new("assign.space_cache"),
+            cache: Memo::new(),
             plans: (0..agent_count).map(|_| OnceLock::new()).collect(),
         }
     }

@@ -50,13 +50,13 @@ mod dense;
 mod error;
 mod induced;
 pub mod lattice;
+mod memo;
 pub mod plan;
 mod sample;
-pub mod shard;
 
 pub use dense::DensePointSpace;
 pub use error::AssignError;
 pub use induced::{AssignCore, PointSpace, ProbAssignment};
+pub use memo::Memo;
 pub use plan::SamplePlan;
 pub use sample::{Assignment, SampleFn};
-pub use shard::ShardMap;

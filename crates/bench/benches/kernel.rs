@@ -476,7 +476,7 @@ fn main() {
         traced(format!("pr_ge_family/dag_on/{n_points}"), &mut || {
             let _ = run_dag_on();
         });
-        // The unplanned sweep resolves every point through the sharded
+        // The unplanned sweep resolves every point through the
         // space cache — the row that keeps `assign.space_cache_hit`
         // observable now that the planned paths bypass it.
         traced(format!("pr_ge_family/plan_off/{n_points}"), &mut || {

@@ -1,42 +1,31 @@
 //! Concurrent-query benchmark of the shared `Arc<ModelArtifact>` path.
 //!
-//! PR 6 split the borrowing `Model` facade into an immutable,
+//! The borrowing `Model` facade sits beside an immutable,
 //! `Send + Sync` [`ModelArtifact`] (system + assignment + canonical
 //! spaces + sample plans, built once) and cheap per-query [`EvalCtx`]
-//! handles, with every memo behind 16-way sharded maps instead of
-//! global mutexes. This bench pins the two claims that refactor makes:
-//!
-//! 1. **Shared-artifact throughput** — N client threads issuing a mixed
-//!    sat / `Pr_i ≥ α` formula family against *one* shared artifact,
-//!    answered from the warm sharded memos. The outputs are asserted
-//!    bit-identical to the serial `Model` facade before anything is
-//!    timed, and the 4-thread row's aggregate query rate is exported as
-//!    `shared_artifact_qps` (host-dependent; the gate only requires it
-//!    to exist and be positive).
-//!
-//! 2. **Sharded memo vs. global mutex** — the same 4-thread overlapping
-//!    get/insert workload hammered at a 16-shard [`ShardMap`] and at a
-//!    1-shard map, which *is* the old single-mutex memo (same code
-//!    path, one lock). The ratio is exported as
-//!    `sharded_memo_vs_mutex`; on multi-core hosts sharding wins by
-//!    separating the threads, on a single core it must simply not
-//!    regress (the gate is relative to the committed baseline).
+//! handles. This bench pins the **shared-artifact throughput**: N
+//! client threads issuing a mixed sat / `Pr_i ≥ α` formula family
+//! against *one* shared artifact, answered from its warm memos. The
+//! outputs are asserted bit-identical to the serial `Model` facade
+//! before anything is timed, and the 4-thread row's aggregate query
+//! rate is exported as `shared_artifact_qps` (host-dependent; the gate
+//! only requires it to exist and be positive).
 //!
 //! `shared_threads4_vs_1` rides along for inspection but is excluded
 //! from gating: it measures core-count scaling, which legitimately
 //! sits near 1× on single-core runners.
 //!
-//! After the timed sections, a traced pass re-runs the 4-thread
-//! workload against a fresh artifact under `kpa-trace` and reports the
-//! per-map shard hit/miss/contention counters — proving the sharded
-//! maps (not some bypass) answered the queries.
+//! After the timed section, a traced pass re-runs the 4-thread
+//! workload against a fresh artifact under `kpa-trace` and reports
+//! each memo's hit and miss counters — proving the memos (not some
+//! bypass) answered the queries.
 //!
 //! Run with `cargo bench -p kpa-bench --bench shared`. Set
 //! `KPA_BENCH_JSON=/abs/path.json` (or use `scripts/bench.sh`, which
 //! gates it against `baselines/shared.json`) to emit the rows as
 //! machine-readable JSON.
 
-use kpa_assign::{Assignment, ProbAssignment, ShardMap};
+use kpa_assign::{Assignment, ProbAssignment};
 use kpa_logic::{Formula, Model, ModelArtifact};
 use kpa_measure::rat;
 use kpa_protocols::async_coin_tosses;
@@ -49,11 +38,6 @@ const CLIENTS: usize = 4;
 /// Warm family passes per client per timed pass: enough that the
 /// per-pass thread-spawn cost is noise next to the memo lookups.
 const ROUNDS: usize = 100;
-
-/// Hammer threads and per-thread operations for the ShardMap rows.
-const HAMMER_THREADS: usize = 4;
-const HAMMER_OPS: usize = 20_000;
-const HAMMER_KEYS: u64 = 512;
 
 /// The mixed query family every client repeats: sat, knowledge,
 /// common knowledge, and two `Pr` thresholds over one body, so the
@@ -104,36 +88,6 @@ fn shared_pass(artifact: &Arc<ModelArtifact>, family: &[Formula], threads: usize
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client")).sum()
-    })
-}
-
-/// One hammer pass: `HAMMER_THREADS` threads interleaving lookups and
-/// first-insert-wins inserts over an overlapping key space on `map`.
-/// A 1-shard map is the global-mutex memo the refactor replaced; 16
-/// shards is the artifact's layout. Returns the sum of the values the
-/// lookups found; which lookups hit depends on thread timing, so only
-/// the map's final contents are a pure function of the workload.
-fn hammer_pass(map: &ShardMap<u64, Arc<u64>>) -> usize {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..HAMMER_THREADS)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut found = 0usize;
-                    for j in 0..HAMMER_OPS {
-                        let key =
-                            (j as u64).wrapping_mul(17).wrapping_add(t as u64 * 7) % HAMMER_KEYS;
-                        match map.get(&key) {
-                            Some(v) => found += *v as usize,
-                            None => {
-                                map.insert_or_get(key, Arc::new(key));
-                            }
-                        }
-                    }
-                    found
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("hammer")).sum()
     })
 }
 
@@ -203,51 +157,10 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Sharded memo vs global mutex: the identical hammer workload on a
-    // 16-shard map and on a 1-shard map (= one mutex around one
-    // HashMap, the pre-refactor memo layout).
-    // ------------------------------------------------------------------
-    let contents = |name, shards| {
-        let map = ShardMap::with_shards(name, shards);
-        hammer_pass(&map);
-        let mut entries = map.fold(Vec::new(), |mut acc, &k, v: &Arc<u64>| {
-            acc.push((k, **v));
-            acc
-        });
-        entries.sort_unstable();
-        entries
-    };
-    assert_eq!(
-        contents("bench.hammer_check16", 16),
-        contents("bench.hammer_check1", 1),
-        "shard count must be observationally invisible"
-    );
-    let sharded = kpa_bench::bench_time(
-        &format!("memo_hammer/shards=16/{HAMMER_KEYS}"),
-        reps,
-        || hammer_pass(&ShardMap::with_shards("bench.hammer16", 16)),
-    );
-    let mutexed =
-        kpa_bench::bench_time(&format!("memo_hammer/shards=1/{HAMMER_KEYS}"), reps, || {
-            hammer_pass(&ShardMap::with_shards("bench.hammer1", 1))
-        });
-    rows.push((format!("memo_hammer/shards=16/{HAMMER_KEYS}"), sharded));
-    rows.push((format!("memo_hammer/shards=1/{HAMMER_KEYS}"), mutexed));
-    let shard_speedup = mutexed.as_secs_f64() / sharded.as_secs_f64();
-    println!(
-        "\nsharded memo speedup: {shard_speedup:.2}x \
-         (16 shards vs 1-shard mutex, {HAMMER_THREADS} threads)"
-    );
-    assert!(
-        shard_speedup >= 0.5,
-        "sharding must not cripple the memo even on one core (got {shard_speedup:.2}x)"
-    );
-
-    // ------------------------------------------------------------------
     // Traced pass: re-run the 4-client workload against a FRESH
-    // artifact with kpa-trace on, so the shard counters show both the
-    // cold misses and the warm hits, then report per-map totals. Runs
-    // strictly after every timed section.
+    // artifact with kpa-trace on, so the memo counters show both the
+    // cold misses and the warm hits, then report per-memo totals. Runs
+    // strictly after the timed section.
     // ------------------------------------------------------------------
     kpa_trace::set_enabled(true);
     kpa_trace::registry().reset();
@@ -260,32 +173,29 @@ fn main() {
     let after = kpa_trace::registry().snapshot();
     let deltas = after.delta_counters(&before);
     println!();
-    let mut sat_cache_hits = 0u64;
-    for prefix in ["logic.sat_cache", "logic.subterm_memo", "logic.pr_memo"] {
-        let hits: u64 = deltas
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix) && k.contains(".shard") && k.ends_with(".hit"))
-            .map(|(_, v)| v)
-            .sum();
-        let misses: u64 = deltas
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix) && k.contains(".shard") && k.ends_with(".miss"))
-            .map(|(_, v)| v)
-            .sum();
-        let contention = deltas
-            .get(&format!("{prefix}.contention"))
-            .copied()
-            .unwrap_or(0);
+    let count = |name: &str| deltas.get(name).copied().unwrap_or(0);
+    for (memo, hit, miss) in [
+        (
+            "logic.sat_cache",
+            "logic.sat_cache_hit",
+            "logic.sat_cache_miss",
+        ),
+        (
+            "logic.subterm_memo",
+            "logic.subterm_memo.hit",
+            "logic.subterm_memo.miss",
+        ),
+        ("logic.pr_memo", "logic.pr_memo_hit", "logic.pr_memo_miss"),
+    ] {
         println!(
-            "traced {prefix:<18} {hits:>8} shard hits  {misses:>6} misses  {contention:>4} contended locks"
+            "traced {memo:<18} {:>8} hits  {:>6} misses",
+            count(hit),
+            count(miss)
         );
-        if prefix == "logic.sat_cache" {
-            sat_cache_hits = hits;
-        }
     }
     assert!(
-        sat_cache_hits > 0,
-        "the warm clients must answer from the sharded formula cache"
+        count("logic.sat_cache_hit") > 0,
+        "the warm clients must answer from the formula cache"
     );
     kpa_trace::set_enabled(false);
 
@@ -297,7 +207,6 @@ fn main() {
         &[
             ("shared_artifact_qps", qps),
             ("shared_threads4_vs_1", thread_scaling),
-            ("sharded_memo_vs_mutex", shard_speedup),
         ],
     );
 }

@@ -6,13 +6,12 @@
 //! along exactly that line:
 //!
 //! * [`ModelArtifact`] — the shareable half: an `Arc<System>`, the
-//!   sample-space assignment's [`AssignCore`] (sharded space cache +
+//!   sample-space assignment's [`AssignCore`] (space cache +
 //!   write-once per-agent plan table), and the three evaluation memos
-//!   as 16-way [`ShardMap`]s. The artifact is `Send + Sync` and is
-//!   meant to be built **once** and shared as `Arc<ModelArtifact>`
-//!   across any number of query threads; there is no global mutex on
-//!   any query path — only shard-level locks, held for single
-//!   lookups/inserts.
+//!   as [`Memo`]s. The artifact is `Send + Sync` and is meant to be
+//!   built **once** and shared as `Arc<ModelArtifact>` across any
+//!   number of query threads; each memo's one lock is held for a
+//!   single lookup or insert, never while a set is computed.
 //! * [`EvalCtx`] — the per-query half: a cheap, single-thread handle
 //!   carrying per-context scratch state (currently a query counter).
 //!   Each thread mints its own context with [`ModelArtifact::ctx`];
@@ -26,24 +25,24 @@
 //! construction, because both run the identical [`EvalView`] code over
 //! the identical [`AssignCore`].
 //!
-//! Sharding never affects results: every memo key lives in exactly one
-//! shard, values are pure functions of their keys, and racing builders
-//! insert structurally identical values (first insert wins). The
-//! differential suite (`tests/shared_artifact_differential.rs`)
-//! hammers one artifact from several threads and asserts word-level
-//! bit-equality with a serial facade evaluation.
+//! Races never affect results: memo values are pure functions of their
+//! keys, and racing builders insert structurally identical values
+//! (first insert wins). The differential suite
+//! (`tests/shared_artifact_differential.rs`) hammers one artifact from
+//! several threads and asserts word-level bit-equality with a serial
+//! facade evaluation.
 
 use crate::compile::{CompiledFormula, FormulaArena, Term, TermId};
 use crate::error::LogicError;
 use crate::formula::Formula;
-use kpa_assign::{AssignCore, Assignment, DensePointSpace, SamplePlan, ShardMap};
+use kpa_assign::{AssignCore, Assignment, DensePointSpace, Memo, SamplePlan};
 use kpa_measure::Rat;
 use kpa_system::{AgentId, PointId, PointSet, System};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// The three evaluation memos, each a sharded concurrent map:
+/// The three evaluation memos, each a [`Memo`]:
 ///
 /// * `cache` — whole formula → satisfaction set (the entry-point memo
 ///   keyed by the uncompiled AST, so facade callers skip compilation
@@ -63,9 +62,9 @@ use std::sync::Arc;
 /// memo invisibility by turning them off; the artifact always enables
 /// both.
 pub(crate) struct EvalMemos {
-    pub(crate) cache: ShardMap<Formula, Arc<PointSet>>,
-    pub(crate) terms: Option<ShardMap<TermId, Arc<PointSet>>>,
-    pub(crate) pr: Option<ShardMap<(usize, Arc<PointSet>), Rat>>,
+    pub(crate) cache: Memo<Formula, Arc<PointSet>>,
+    pub(crate) terms: Option<Memo<TermId, Arc<PointSet>>>,
+    pub(crate) pr: Option<Memo<(usize, Arc<PointSet>), Rat>>,
 }
 
 impl EvalMemos {
@@ -74,9 +73,9 @@ impl EvalMemos {
     /// satisfaction-set `Arc`s is part of the `sat` contract).
     pub(crate) fn new(terms: bool, pr: bool) -> EvalMemos {
         EvalMemos {
-            cache: ShardMap::new("logic.sat_cache"),
-            terms: terms.then(|| ShardMap::new("logic.subterm_memo")),
-            pr: pr.then(|| ShardMap::new("logic.pr_memo")),
+            cache: Memo::new(),
+            terms: terms.then(Memo::new),
+            pr: pr.then(Memo::new),
         }
     }
 }
@@ -85,8 +84,8 @@ impl std::fmt::Debug for EvalMemos {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalMemos")
             .field("cache", &self.cache.len())
-            .field("terms", &self.terms.as_ref().map(ShardMap::len))
-            .field("pr", &self.pr.as_ref().map(ShardMap::len))
+            .field("terms", &self.terms.as_ref().map(Memo::len))
+            .field("pr", &self.pr.as_ref().map(Memo::len))
             .finish()
     }
 }
@@ -117,6 +116,7 @@ impl EvalView<'_> {
             kpa_trace::count!("logic.sat_cache_hit");
             return Ok(hit);
         }
+        kpa_trace::count!("logic.sat_cache_miss");
         // One evaluated formula node (sub-nodes recurse through `sat`
         // and are counted at their own entry).
         kpa_trace::count!("logic.sat_eval");
@@ -185,6 +185,7 @@ impl EvalView<'_> {
             kpa_trace::count!("logic.sat_cache_hit");
             return Ok(hit);
         }
+        kpa_trace::count!("logic.sat_cache_miss");
         let compiled = self.arena.compile(f);
         let result = self.eval_compiled(&compiled)?;
         Ok(self.memos.cache.insert_or_get(f.clone(), result))
@@ -316,6 +317,8 @@ impl EvalView<'_> {
             kpa_trace::count!("logic.sat_cache_hit", members.len() as u64);
             return Ok(cached.into_iter().flatten().collect());
         }
+        // The sweep below evaluates every member, cached or not.
+        kpa_trace::count!("logic.sat_cache_miss", members.len() as u64);
         // Compiling each member hash-conses the shared body once; the
         // k−1 re-interns are where `logic.terms_deduped` earns its
         // keep on family workloads.
@@ -566,12 +569,12 @@ fn until(hold: &PointSet, goal: &PointSet) -> PointSet {
 /// An immutable, shareable model-checking artifact: one system + one
 /// sample-space assignment, with every derived structure — canonical
 /// spaces, batched [`SamplePlan`]s, and the three evaluation memos —
-/// owned by the artifact and guarded only by shard-level locks.
+/// owned by the artifact and guarded only by each memo's one lock.
 ///
 /// Build it once, wrap it in an [`Arc`], and hand clones to as many
 /// threads as you like; each thread mints a cheap [`EvalCtx`] and
 /// queries away. Memos warm *across* threads: a satisfaction set
-/// computed by one client is a shard-map hit for every other.
+/// computed by one client is a memo hit for every other.
 ///
 /// # Examples
 ///
@@ -650,7 +653,7 @@ impl ModelArtifact {
         self.core.assignment()
     }
 
-    /// The shared assignment core (sharded space cache + plan table).
+    /// The shared assignment core (space cache + plan table).
     #[must_use]
     pub fn core(&self) -> &AssignCore {
         &self.core
@@ -716,7 +719,7 @@ impl ModelArtifact {
     /// separate knows-set memo).
     #[must_use]
     pub fn subterm_memo_len(&self) -> usize {
-        self.memos.terms.as_ref().map_or(0, ShardMap::len)
+        self.memos.terms.as_ref().map_or(0, Memo::len)
     }
 
     /// How many distinct subterms the artifact's arena has interned
@@ -729,7 +732,7 @@ impl ModelArtifact {
     /// How many `(space, sat set)` entries the shared `Pr` memo holds.
     #[must_use]
     pub fn pr_memo_len(&self) -> usize {
-        self.memos.pr.as_ref().map_or(0, ShardMap::len)
+        self.memos.pr.as_ref().map_or(0, Memo::len)
     }
 
     /// How many per-agent sample plans have been built (all of them,

@@ -9,7 +9,7 @@
 //!   `U`, plus derived `Kᵢ^α`, `Kᵢ^{[α,β]}`, `◇`, `□`, `E_G`, and the
 //!   Section 8 fixed points `C_G`, `C_G^α`;
 //! * [`ModelArtifact`] + [`EvalCtx`] — the immutable, `Send + Sync`
-//!   evaluation artifact (system + assignment + sharded memos), built
+//!   evaluation artifact (system + assignment + memos), built
 //!   once and shared as `Arc<ModelArtifact>` across query threads, with
 //!   cheap per-thread contexts;
 //! * [`Model`] — the classic borrowing facade over the same evaluator,

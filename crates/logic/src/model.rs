@@ -74,7 +74,7 @@ pub use kpa_system::PointSet;
 pub struct Model<'a, 's> {
     pa: &'a ProbAssignment<'s>,
     all: Arc<PointSet>,
-    /// Per-model sharded memos (formula sat cache, unified per-subterm
+    /// Per-model memos (formula sat cache, unified per-subterm
     /// memo, per-class `Pr` memo). Owning them per model — where the
     /// artifact shares them across threads — is what gives the
     /// differential suites memo-scoped observability

@@ -605,12 +605,8 @@ impl FromStr for Rat {
                 .checked_pow(u32::try_from(frac.len()).map_err(|_| err())?)
                 .ok_or_else(err)?;
             let frac_part = Rat::new(digits, scale);
-            let whole_part = Rat::from_int(whole);
-            return Ok(if neg {
-                whole_part - frac_part
-            } else {
-                whole_part + frac_part
-            });
+            let frac_part = if neg { -frac_part } else { frac_part };
+            return Rat::from_int(whole).checked_add(frac_part).ok_or_else(err);
         }
         let n: i128 = s.parse().map_err(|_| err())?;
         Ok(Rat::from_int(n))
@@ -826,6 +822,23 @@ mod tests {
         assert!("1/0".parse::<Rat>().is_err());
         assert!("abc".parse::<Rat>().is_err());
         assert!("1.x".parse::<Rat>().is_err());
+    }
+
+    #[test]
+    fn decimals_past_the_i128_edge_are_parse_errors() {
+        for s in [
+            "170141183460469231731687303715884105727.5",
+            "-170141183460469231731687303715884105728.5",
+        ] {
+            assert!(
+                s.parse::<Rat>().is_err(),
+                "{s} does not fit an i128 rational"
+            );
+        }
+        assert_eq!(
+            "85070591730234615865843651857942052863.5".parse::<Rat>(),
+            Ok(Rat::new(i128::MAX, 2))
+        );
     }
 
     #[test]

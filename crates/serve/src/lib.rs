@@ -2,7 +2,7 @@
 //!
 //! A long-running process that answers knowledge/probability queries
 //! over TCP, built entirely from in-repo parts: [`ModelArtifact`]s
-//! from `kpa-logic` for shared immutable models, `ShardMap` from
+//! from `kpa-logic` for shared immutable models, a `Memo` from
 //! `kpa-assign` for the cross-session artifact cache, and
 //! [`Scope`]d metrics from `kpa-trace` for per-session and
 //! process-wide statistics. No external dependencies — including the

@@ -28,16 +28,23 @@
 //! # Timeouts and shutdown
 //!
 //! The accept thread is the one server thread that wakes on a timer:
-//! it sees the stop flag within one [`ServeConfig::poll`]. Each
+//! it sees the stop flag within one [`ServeConfig::poll`]. An `accept`
+//! error (out of descriptors, say) is counted in `proc.accept_errors`
+//! and retried after one `poll`, and a connection whose thread cannot
+//! be spawned is closed, so neither stops the server. Each
 //! connection's socket has [`ServeConfig::idle_timeout`] as its read
-//! timeout, so a read that times out is the idle reap (fatal
-//! `idle_timeout`). [`Server::shutdown`] sets the stop flag and joins
-//! the accept thread. It then shuts down the read side of every live
-//! socket: each blocked read returns, sees the flag and sends a fatal
-//! `shutting_down` frame, and every connection thread is joined. So
-//! when `shutdown` returns, no server thread is running and every
-//! client has seen either its reply or a structured goodbye. Dropping
-//! a [`Server`] runs the same shutdown.
+//! and its write timeout: a read that times out is the idle reap
+//! (fatal `idle_timeout`), and a reply that makes no progress for that
+//! long (the client stopped reading) ends the connection.
+//! [`Server::shutdown`] sets the stop flag and joins the accept
+//! thread. It then shuts down the read side of every live socket: each
+//! blocked read returns, sees the flag and sends a fatal
+//! `shutting_down` frame, a blocked write gives up within
+//! `idle_timeout`, and every connection thread is joined. So when
+//! `shutdown` returns, no server thread is running and every client
+//! has seen its reply, a structured goodbye, or (if it stopped
+//! reading) a closed connection. Dropping a [`Server`] runs the same
+//! shutdown.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -66,11 +73,11 @@ pub struct ServeConfig {
     /// Maximum items in one `query` batch.
     pub max_batch: usize,
     /// Idle time after which a silent connection is reaped with
-    /// `idle_timeout`. It is each connection's socket read timeout, so
-    /// it must be positive: [`Server::bind`] refuses zero.
+    /// `idle_timeout`. It is each connection's socket read and write
+    /// timeout, so it must be positive: [`Server::bind`] refuses zero.
     pub idle_timeout: Duration,
     /// How often the accept loop checks for a new connection and for
-    /// shutdown.
+    /// shutdown, and how long it waits after an `accept` error.
     pub poll: Duration,
 }
 
@@ -194,12 +201,16 @@ fn accept_loop(
     while !stop.load(Ordering::SeqCst) {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => {
+                // Any other error (out of descriptors, say) leaves the
+                // pending connection queued: wait and try again.
+                if e.kind() != ErrorKind::WouldBlock {
+                    shared.proc().counter("proc.accept_errors").add(1);
+                }
                 std::thread::sleep(config.poll);
                 continue;
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return,
         };
         if active.load(Ordering::SeqCst) >= config.max_conns {
             shared.proc().counter("proc.conns_refused").add(1);
@@ -210,7 +221,7 @@ fn accept_loop(
         let weak = Arc::downgrade(&socket);
         let slot = ConnSlot::take(active);
         shared.proc().counter("proc.conns_opened").add(1);
-        let thread = {
+        let spawned = {
             let shared = Arc::clone(shared);
             let stop = Arc::clone(stop);
             let config = config.clone();
@@ -220,8 +231,10 @@ fn accept_loop(
                     let _slot = slot;
                     serve_connection(&socket, &config, &shared, &stop);
                 })
-                .expect("spawn connection thread")
         };
+        // A failed spawn drops the closure, which closes this one
+        // socket and frees its slot.
+        let Ok(thread) = spawned else { continue };
         let mut guard = conns.lock().expect("conns");
         // Reap finished connections so the registry stays proportional
         // to live connections, not history.
@@ -272,6 +285,7 @@ fn serve_connection(
     // listener; this thread blocks in `read`.
     if stream.set_nonblocking(false).is_err()
         || stream.set_read_timeout(Some(config.idle_timeout)).is_err()
+        || stream.set_write_timeout(Some(config.idle_timeout)).is_err()
     {
         return;
     }

@@ -13,11 +13,11 @@
 //! Models are expensive to build and cheap to share: `load` resolves
 //! its `(system, assignment)` pair to a canonical key — from the
 //! request alone, before building anything — and consults a
-//! process-wide [`ShardMap`] of [`ModelArtifact`]s. Two sessions
+//! process-wide [`Memo`] of [`ModelArtifact`]s. Two sessions
 //! pinning the same pair share one artifact — and therefore one set
 //! of warmed memo tables; the differential suite leans on this to
 //! check that memo sharing never changes answers. Only a miss builds
-//! the system and assignment, *outside* the shard lock (first insert
+//! the system and assignment, *outside* the lock (first insert
 //! wins), matching the map's contract.
 //!
 //! # Batch semantics
@@ -31,7 +31,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kpa_assign::{Assignment, ShardMap};
+use kpa_assign::{Assignment, Memo};
 use kpa_logic::{parse_in, ModelArtifact};
 use kpa_system::System;
 use kpa_trace::Scope;
@@ -45,7 +45,7 @@ use crate::proto::{codes, ok_frame, words_to_value, Envelope, ProtoError, QueryK
 pub struct SharedState {
     /// The artifact cache: canonical `(system, assignment)` key →
     /// shared immutable model.
-    artifacts: ShardMap<String, Arc<ModelArtifact>>,
+    artifacts: Memo<String, Arc<ModelArtifact>>,
     /// Process-wide metrics (always on, unlike the `KPA_TRACE`-gated
     /// global registry).
     proc: Scope,
@@ -58,7 +58,7 @@ impl SharedState {
     #[must_use]
     pub fn new() -> SharedState {
         SharedState {
-            artifacts: ShardMap::new("serve.artifacts"),
+            artifacts: Memo::new(),
             proc: Scope::new("kpa-serve.process"),
             next_session: AtomicU64::new(1),
         }
@@ -80,13 +80,16 @@ impl SharedState {
 
     /// Approximate bytes held by resident artifacts (point sets plus
     /// memo tables, via [`ModelArtifact::approx_resident_bytes`]) —
-    /// the `serve.artifacts_resident_bytes` gauge. A point-in-time
-    /// fold over the cache; diagnostics, not a ledger.
+    /// the `serve.artifacts_resident_bytes` gauge. The artifacts are
+    /// copied out of the cache before they are walked, so loads never
+    /// wait on the walk; diagnostics, not a ledger.
     #[must_use]
     pub fn artifacts_resident_bytes(&self) -> u64 {
-        self.artifacts.fold(0u64, |acc, _key, artifact| {
-            acc + artifact.approx_resident_bytes()
-        })
+        let artifacts = self.artifacts.fold(Vec::new(), |mut all, _key, artifact| {
+            all.push(Arc::clone(artifact));
+            all
+        });
+        artifacts.iter().map(|a| a.approx_resident_bytes()).sum()
     }
 
     /// Builds a catalog system into the artifact cache ahead of any

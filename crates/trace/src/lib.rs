@@ -42,9 +42,9 @@
 //! The macros cache the `&'static` metric behind a per-call-site
 //! `OnceLock`, so the registry's name map is consulted once per call
 //! site, not once per sample. Because of that cache, macro names must
-//! be *constant per call site*; for dynamically named metrics (e.g.
-//! per-shard counters) call [`Registry::counter`] directly and cache
-//! the references yourself.
+//! be *constant per call site*; for metrics whose names are built at
+//! run time call [`Registry::counter`] directly and cache the
+//! references yourself.
 //!
 //! ## Naming scheme
 //!

@@ -42,7 +42,7 @@ pub fn registry() -> &'static Registry {
 /// Intern a metric name: names live for the life of the process (the
 /// registry is global and metrics are never unregistered), so leaking
 /// the handful of distinct names is the zero-dep way to get `'static`
-/// keys for dynamically built names like per-shard counters.
+/// keys for names built at run time.
 fn intern(name: &str) -> &'static str {
     Box::leak(name.to_owned().into_boxed_str())
 }
@@ -68,8 +68,8 @@ impl Registry {
     /// Look up (or create) the counter called `name`.
     ///
     /// The returned reference is `'static`: cache it and skip the
-    /// lookup on the hot path. Dynamic names (e.g. per-shard) are fine
-    /// — each *distinct* name leaks one small allocation, once.
+    /// lookup on the hot path. Names built at run time are fine — each
+    /// *distinct* name leaks one small allocation, once.
     pub fn counter(&self, name: &str) -> &'static Counter {
         lookup_or_leak(&self.counters, name, |_| Counter::new())
     }

@@ -99,11 +99,7 @@ PROFILES = {
         "excluded": {"par_sat_threads4_vs_1"},
     },
     "shared": {
-        "asserted": {
-            # ~1x on one core, > 1x with real parallelism; the relative
-            # gate catches a sharding regression on either kind of host.
-            "sharded_memo_vs_mutex": None,
-        },
+        "asserted": {},
         "positive": {"shared_artifact_qps"},
         "excluded": {"shared_threads4_vs_1"},
     },
@@ -171,7 +167,7 @@ HIT_RATE_SLACK = 0.10
 # --trace mode: counters that must be present and positive in the fresh
 # report's global counter map — each proves a PR 1-4/8/9 fast path
 # actually ran (dense measure kernel, kernel construction, planned Pr
-# sweep, sharded space cache, hash-consed formula arena, footprint-
+# sweep, space cache, hash-consed formula arena, footprint-
 # skipping set ops, wide block scans).
 TRACE_REQUIRED_POSITIVE = (
     "measure.dense_query",

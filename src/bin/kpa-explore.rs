@@ -26,7 +26,7 @@
 //! `--shared N` re-answers the formula from `N` threads sharing one
 //! `Arc<ModelArtifact>` (the concurrent query path), checks every
 //! thread against the serial model bit-for-bit, and — combined with
-//! `--trace` — reports per-memo shard hits and lock contention.
+//! `--trace` — reports each memo's hits and misses.
 //!
 //! `--connect HOST:PORT` replays the query against a running
 //! `kpa-serve` instance (which loads the same system by name) and
@@ -130,7 +130,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                             [--trace] [--trace-events]\n\
                      --shared N answers the formula from N threads sharing one \
                      Arc<ModelArtifact>, checks them against the serial model, \
-                     and (with --trace) reports memo shard hits\n\
+                     and (with --trace) reports memo hits and misses\n\
                      --connect HOST:PORT replays the query against a running \
                      kpa-serve and bit-compares the answers"
                         .to_owned(),
@@ -181,7 +181,7 @@ fn dump_trace_events(on: bool) {
 /// `--shared N`: answers the formula from `N` threads that share one
 /// `Arc<ModelArtifact>`, asserts every thread agrees bit-for-bit with
 /// the serial model's answer, and (under `--trace`) reports how the
-/// artifact's sharded memos absorbed the concurrent traffic.
+/// artifact's memos absorbed the concurrent traffic.
 fn run_shared(
     clients: usize,
     sys: &System,
@@ -232,25 +232,21 @@ fn run_shared(
     );
     if let Some(before) = before {
         let delta = kpa_trace::registry().snapshot().delta_counters(&before);
-        for prefix in ["logic.sat_cache", "logic.subterm_memo", "logic.pr_memo"] {
-            let sum = |suffix: &str| -> u64 {
-                delta
-                    .iter()
-                    .filter(|(k, _)| {
-                        k.starts_with(prefix) && k.contains(".shard") && k.ends_with(suffix)
-                    })
-                    .map(|(_, v)| v)
-                    .sum()
-            };
-            let contention = delta
-                .get(&format!("{prefix}.contention"))
-                .copied()
-                .unwrap_or(0);
-            println!(
-                "  {prefix}: {} shard hits, {} misses, {contention} contended locks",
-                sum(".hit"),
-                sum(".miss"),
-            );
+        let count = |name: &str| delta.get(name).copied().unwrap_or(0);
+        for (memo, hit, miss) in [
+            (
+                "logic.sat_cache",
+                "logic.sat_cache_hit",
+                "logic.sat_cache_miss",
+            ),
+            (
+                "logic.subterm_memo",
+                "logic.subterm_memo.hit",
+                "logic.subterm_memo.miss",
+            ),
+            ("logic.pr_memo", "logic.pr_memo_hit", "logic.pr_memo_miss"),
+        ] {
+            println!("  {memo}: {} hits, {} misses", count(hit), count(miss));
         }
     }
     Ok(())

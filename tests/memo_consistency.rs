@@ -215,3 +215,35 @@ fn interleaved_pr_ge_thresholds_hit_the_plan_and_pr_memo() {
     // And the verdicts are coherent: Pr ≥ 3/4 implies Pr ≥ 1/4.
     assert!(sat_strong.is_subset(&sat_weak));
 }
+
+/// The formula cache's call-site counters, pinned through the registry
+/// like the test above: the first `sat` of a formula is a
+/// `logic.sat_cache_miss`, and asking again is a `logic.sat_cache_hit`.
+#[test]
+fn the_formula_cache_counts_a_miss_then_a_hit() {
+    kpa::trace::set_enabled(true);
+    let registry = kpa::trace::registry();
+
+    let sys = secret_coin().expect("builds");
+    let post = ProbAssignment::new(&sys, Assignment::post());
+    let model = Model::new(&post);
+    let f = Formula::prop("c=h").known_by(AgentId(2));
+
+    let before = registry.snapshot();
+    let cold = model.sat(&f).expect("model checks");
+    let after_cold = registry.snapshot();
+    let warm = model.sat(&f).expect("model checks");
+    let after_warm = registry.snapshot();
+    assert_eq!(*cold, *warm);
+
+    let first = after_cold.delta_counters(&before);
+    assert!(
+        first.get("logic.sat_cache_miss").copied().unwrap_or(0) > 0,
+        "the first ask must miss the formula cache"
+    );
+    let second = after_warm.delta_counters(&after_cold);
+    assert!(
+        second.get("logic.sat_cache_hit").copied().unwrap_or(0) > 0,
+        "the repeat must hit the formula cache"
+    );
+}

@@ -19,6 +19,9 @@ use common::case_seed;
 use kpa::measure::Rng64;
 use kpa::serve::json::Value;
 use kpa::serve::{Client, ClientError, QueryItem, QueryKind, ServeConfig, Server};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// A config with short limits, so limit paths run in test time.
@@ -376,6 +379,32 @@ fn an_i128_edge_threshold_gets_an_answer() {
 }
 
 #[test]
+fn a_decimal_alpha_past_i128_gets_bad_alpha() {
+    // Each decimal's whole part is an i128 edge, so adding its
+    // fraction overflows: the item must get a recoverable `bad_alpha`,
+    // and the connection must answer the next frame.
+    let mut server = Server::bind(tight_config()).expect("bind");
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    c.load_named("secret-coin", "post").expect("load");
+    for alpha in [
+        "170141183460469231731687303715884105727.5",
+        "-170141183460469231731687303715884105728.5",
+    ] {
+        let frame = format!(
+            r#"{{"v":1,"op":"query","id":5,"queries":[{{"kind":"pr_ge","agent":"p1","alpha":"{alpha}","formula":"c=h"}}]}}"#
+        );
+        c.send_raw(frame.as_bytes()).expect("send");
+        let reply = c
+            .recv_frame()
+            .expect("an error frame, not a closed connection");
+        assert_eq!(error_of(&reply), ("bad_alpha".to_string(), false));
+        c.hello().expect("the next frame is answered");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn a_spec_whose_run_probabilities_overflow_gets_an_error() {
     // Two rounds of bias 1/(2¹²⁷−25): the run probability 1/(2¹²⁷−25)²
     // does not fit an i128 rational. The load must be refused with a
@@ -502,6 +531,108 @@ fn dropping_the_server_notifies_live_connections() {
         Err(other) => panic!("unexpected reply after drop: {other}"),
     }
     assert!(Client::connect_with_deadline(addr, Duration::from_millis(200)).is_err());
+}
+
+#[test]
+fn dropping_the_server_does_not_wait_on_a_client_that_stops_reading() {
+    // Each batch's reply is ~7.5 MB, past what the socket buffers hold.
+    // The client reads the load reply and the start of the first batch
+    // reply, then stops reading, so the server is blocked in that write
+    // when it is dropped; the 1 s idle timeout also bounds writes.
+    let config = ServeConfig {
+        idle_timeout: Duration::from_secs(1),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(config).expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let items: Vec<String> = (0..1024)
+        .map(|id| format!(r#"{{"id":{id},"kind":"sat","formula":"recent=h"}}"#))
+        .collect();
+    let batch = format!(r#"{{"v":1,"op":"query","queries":[{}]}}"#, items.join(","));
+    let mut frames =
+        r#"{"v":1,"op":"load","system":"async-coins:11","assignment":"post"}"#.to_string() + "\n";
+    for _ in 0..3 {
+        frames += &batch;
+        frames.push('\n');
+    }
+    raw.write_all(frames.as_bytes()).expect("send");
+    // The load reply is far shorter than 64 KiB, so these bytes reach
+    // into the first batch reply.
+    raw.read_exact(&mut vec![0u8; 1 << 16])
+        .expect("the first batch reply has begun");
+
+    let (dropped, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(server);
+        let _ = dropped.send(());
+    });
+    assert!(
+        done.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "drop waited on a client that stopped reading"
+    );
+}
+
+#[test]
+fn running_out_of_descriptors_does_not_stop_the_server() {
+    // Under `ulimit -n 16` the server holds about a dozen connections;
+    // `accept` fails with EMFILE for the next one until some close.
+    // Once all close, a fresh connection must be served, every time.
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -n 16; exec "$0" --addr 127.0.0.1:0"#)
+        .arg(env!("CARGO_BIN_EXE_kpa-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn kpa-serve");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut banner)
+        .expect("banner");
+    // "kpa-serve listening on ADDR (proto v1)"
+    let addr = banner
+        .split_whitespace()
+        .nth(3)
+        .expect("address in the banner")
+        .to_string();
+    for round in 0..2 {
+        // Open connections until one gets no hello: the server is out
+        // of descriptors.
+        let mut conns = Vec::new();
+        while conns.len() < 24 {
+            let Ok(mut c) = Client::connect_with_deadline(&addr, Duration::from_millis(500)) else {
+                break;
+            };
+            let answered = c.hello().is_ok();
+            conns.push(c);
+            if !answered {
+                break;
+            }
+        }
+        assert!(
+            conns.len() < 24,
+            "round {round}: 16 descriptors held 24 connections"
+        );
+        drop(conns);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let hello = Client::connect_with_deadline(&addr, Duration::from_secs(2))
+                .and_then(|mut c| c.hello());
+            match hello {
+                Ok(_) => break,
+                Err(e) => assert!(
+                    Instant::now() < deadline,
+                    "round {round}: no hello once the descriptors were freed: {e}"
+                ),
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+    // EOF on stdin stops the server.
+    drop(child.stdin.take());
+    assert!(child.wait().expect("wait").success());
 }
 
 #[test]

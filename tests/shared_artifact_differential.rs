@@ -1,7 +1,7 @@
 //! Differential suite for the shared `Arc<ModelArtifact>` query path.
 //!
 //! The artifact/context split (DESIGN §3.2f) promises that M threads
-//! hammering one immutable [`ModelArtifact`] — racing on its sharded
+//! hammering one immutable [`ModelArtifact`] — racing on its
 //! formula cache, `knows_set` memo, `Pr` memo, and write-once plan
 //! table — produce satisfaction sets *bit-identical* to a serial
 //! [`Model`] facade evaluation over the same system. These tests hold
@@ -9,9 +9,8 @@
 //! sync/async systems.
 //!
 //! The client threads deliberately overlap: every thread evaluates the
-//! *same* formula family in a different order, so shard-map races
-//! (double builds, first-insert-wins) actually happen and must stay
-//! invisible.
+//! *same* formula family in a different order, so memo races (double
+//! builds, first-insert-wins) actually happen and must stay invisible.
 
 mod common;
 
@@ -23,7 +22,7 @@ use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
 use std::sync::Arc;
 
-/// Client threads per artifact: enough to race every shard map.
+/// Client threads per artifact: enough to race every memo.
 const CLIENTS: usize = 4;
 
 /// A mixed sat/`Pr ≥ α` formula family with deliberate subterm overlap
