@@ -12,11 +12,10 @@
 use crate::dense::DensePointSpace;
 use crate::error::AssignError;
 use crate::memo::Memo;
-use crate::plan::SamplePlan;
+use crate::plan::{PlanBuilder, SamplePlan};
 use crate::sample::Assignment;
 use kpa_measure::{BlockSpace, MemberSet, Rat};
 use kpa_system::{AgentId, PointId, PointSet, System};
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 /// The probability space the construction of Proposition 2 assigns to an
@@ -216,8 +215,8 @@ impl AssignCore {
 
     /// Approximate heap bytes the core holds: every cached space (the
     /// generic space and its dense kernel) with its sample key, and the
-    /// built plan tables. The plans share the cache's spaces, so each
-    /// space is counted once.
+    /// built plans' slots, class lists and class arenas. The plans share
+    /// the cache's spaces, so each space is counted once.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let entry =
@@ -247,18 +246,16 @@ impl AssignCore {
 
     /// One ascending pass over the system's points, filling whole
     /// classes per extraction for the canonical assignments and single
-    /// points for custom closures. REQ-violating points stay `None`.
+    /// points for custom closures. REQ-violating points stay unplanned.
     fn build_plan(&self, sys: &System, agent: AgentId) -> SamplePlan {
         let index = Arc::clone(sys.point_index());
-        let mut table: Vec<Option<Arc<DensePointSpace>>> = vec![None; index.total()];
+        let mut plan = PlanBuilder::new(index.total());
         let batched = !matches!(self.assignment, Assignment::Custom { .. });
         let mut extractions = 0usize;
-        let mut covered = 0usize;
         let mut req_skips = 0u64;
-        let mut distinct: HashSet<usize> = HashSet::new();
         for c in sys.points() {
             let ci = index.index_of(c);
-            if table[ci].is_some() {
+            if plan.is_planned(ci) {
                 continue;
             }
             let sample = self.sample(sys, agent, c);
@@ -269,49 +266,33 @@ impl AssignCore {
                 req_skips += 1;
                 continue;
             };
-            distinct.insert(Arc::as_ptr(&space) as usize);
             if batched {
                 // Canonical assignments are uniform (d ∈ S_ic implies
                 // S_id = S_ic), so the space at c is the space at every
-                // point of the sample; classes partition the points, so
-                // each entry is written exactly once.
-                for d in sample.iter() {
-                    let di = index.index_of(d);
-                    if table[di].is_none() {
-                        table[di] = Some(Arc::clone(&space));
-                        covered += 1;
-                    }
-                }
+                // point of the sample, and the sample is c's class.
+                plan.fill_sample(space, &sample);
             } else {
-                table[ci] = Some(space);
-                covered += 1;
+                plan.fill_point(space, ci);
             }
         }
+        let plan = plan.finish(agent, index, extractions, batched);
         // Plan-build fanout: how much one extraction bought (batched
-        // plans fill whole classes; per-point plans fill one entry) and
+        // plans fill whole classes; per-point plans fill one point) and
         // how many points stayed unplanned because the assignment
         // violates REQ1/REQ2 there.
         kpa_trace::count!("assign.plan_builds");
         kpa_trace::count!("assign.plan_extractions", extractions as u64);
-        kpa_trace::count!("assign.plan_covered", covered as u64);
+        kpa_trace::count!("assign.plan_covered", plan.covered() as u64);
         kpa_trace::count!("assign.plan_req_skips", req_skips);
         if batched {
             kpa_trace::count!("assign.plan_batched");
         } else {
             kpa_trace::count!("assign.plan_per_point");
         }
-        if let Some(fanout) = covered.checked_div(extractions) {
+        if let Some(fanout) = plan.covered().checked_div(extractions) {
             kpa_trace::record!("assign.plan_fanout", fanout as u64);
         }
-        SamplePlan::new(
-            agent,
-            index,
-            table,
-            extractions,
-            distinct.len(),
-            covered,
-            batched,
-        )
+        plan
     }
 }
 
@@ -364,8 +345,8 @@ impl<'s> ProbAssignment<'s> {
         self.core.space(self.sys, agent, c)
     }
 
-    /// The batched [`SamplePlan`] for `agent`: a `point → space` table
-    /// covering every point where the assignment is well defined,
+    /// The batched [`SamplePlan`] for `agent`: the space of every point
+    /// where the assignment is well defined, grouped into classes,
     /// built with **one** sample extraction per class for the canonical
     /// assignments (see the [`crate::plan`] module docs for why that is
     /// exact) and canonicalized through the same per-sample cache as

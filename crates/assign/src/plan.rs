@@ -1,14 +1,23 @@
 //! Batched per-class sample plans.
 //!
-//! A [`SamplePlan`] is a precomputed `point → Arc<DensePointSpace>`
-//! table for one `(agent, assignment)` pair: every point of the system
-//! is mapped (where the assignment is well defined) to its induced,
-//! cache-canonicalized probability space. The point of the plan is to
+//! A [`SamplePlan`] maps every point of the system, for one
+//! `(agent, assignment)` pair, to its induced, cache-canonicalized
+//! probability space (where the assignment is well defined), and groups
+//! the points by space into **classes**. The point of the plan is to
 //! move the *sample extraction* — the word-wise bitset intersections of
 //! [`Assignment::sample`](crate::Assignment::sample) plus the cache-key
-//! hash of the resulting sample — off the per-point hot path of
-//! `pr_ge`-style sweeps, where PR 3's measurements showed it dominates
-//! the per-class `Pr` memo.
+//! hash of the resulting sample — off the hot path of `pr_ge`-style
+//! sweeps, and to let those sweeps treat a class as one unit: one
+//! inner measure, then one word-wise union of the class's points into
+//! every threshold set it passes.
+//!
+//! # Layout
+//!
+//! * one `u32` **slot** per point (dense [`PointIndex`] order): the
+//!   index of the point's class, or a sentinel for an unplanned point;
+//! * the **class list**: each class's space, in first-point order;
+//! * the **class arena**: every class's points as word-sparse
+//!   `(word, bits)` pairs, class after class, with per-class offsets.
 //!
 //! # Why batching whole classes is exact
 //!
@@ -27,19 +36,23 @@
 //!   both agents' local states and the tree.
 //!
 //! Hence **one** `sample()` call per class representative determines the
-//! space of *every* point of the class, and the classes partition the
-//! points, so a single ascending pass that skips already-filled entries
-//! performs exactly one extraction and one space construction (cache
-//! hit or build) per class. Points where the assignment violates
-//! REQ1/REQ2 are left unplanned (`None`), so fallback paths reproduce
+//! space of *every* point of the class, the class's points are exactly
+//! the sample's, and the classes partition the points, so a single
+//! ascending pass that skips already-planned points performs exactly
+//! one extraction and one space construction (cache hit or build) per
+//! class, filing the sample's points into the class word by word. A
+//! final pass over the slots writes every class's pairs into the arena,
+//! allocated once at its exact size. Points where the assignment
+//! violates REQ1/REQ2 are left unplanned, so fallback paths reproduce
 //! the exact per-point errors of the unplanned code.
 //!
 //! [`Assignment::Custom`](crate::Assignment::Custom) closures carry no
 //! uniformity guarantee, so their plans are built per point (still
 //! canonicalized through the shared space cache — repeated samples
-//! share one `Arc`) and report `is_batched() == false`.
+//! share one `Arc` and hence one class, whose points need not be its
+//! sample's) and report `is_batched() == false`.
 //!
-//! The spaces in the table are the *same `Arc`s* the per-point
+//! The spaces in the plan are the *same `Arc`s* the per-point
 //! [`ProbAssignment::space`](crate::ProbAssignment::space) cache hands
 //! out (the plan builder goes through that cache), so pointer-keyed
 //! memos — in particular the `Pr` memo of `kpa-logic`'s `Model` — see
@@ -47,53 +60,79 @@
 //! path. `tests/plan_differential.rs` pins this with `Arc::ptr_eq`.
 
 use crate::dense::DensePointSpace;
-use kpa_system::{AgentId, PointId, PointIndex};
+use kpa_system::{AgentId, PointId, PointIndex, PointSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// A precomputed `point → Arc<DensePointSpace>` table for one agent
-/// under one sample-space assignment. Built by
-/// [`ProbAssignment::sample_plan`](crate::ProbAssignment::sample_plan);
+/// The slot of a point the plan leaves unplanned.
+const UNPLANNED: u32 = u32::MAX;
+
+/// The per-point spaces of one agent under one sample-space
+/// assignment, grouped into classes of points sharing a space. Built
+/// by [`ProbAssignment::sample_plan`](crate::ProbAssignment::sample_plan);
 /// immutable (and hence freely shareable across query threads) once
 /// built.
 pub struct SamplePlan {
     agent: AgentId,
     index: Arc<PointIndex>,
-    table: Vec<Option<Arc<DensePointSpace>>>,
+    /// Per point: its class, or `UNPLANNED`.
+    slots: Vec<u32>,
+    /// Per class, in first-point order: its space.
+    spaces: Vec<Arc<DensePointSpace>>,
+    /// Class `k`'s pairs are `pairs[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<usize>,
+    /// Every class's points as `(word, bits)` pairs, class after class.
+    pairs: Vec<(usize, u64)>,
     extractions: usize,
-    classes: usize,
     covered: usize,
     batched: bool,
 }
 
 impl SamplePlan {
-    pub(crate) fn new(
-        agent: AgentId,
-        index: Arc<PointIndex>,
-        table: Vec<Option<Arc<DensePointSpace>>>,
-        extractions: usize,
-        classes: usize,
-        covered: usize,
-        batched: bool,
-    ) -> SamplePlan {
-        SamplePlan {
-            agent,
-            index,
-            table,
-            extractions,
-            classes,
-            covered,
-            batched,
-        }
-    }
-
     /// The planned space at `c`, if the assignment is well defined
     /// there (REQ1+REQ2 hold) and `c` belongs to the plan's universe.
     /// `None` means the caller must fall back to the per-point path —
     /// which reproduces the exact error the naive code would report.
     #[must_use]
     pub fn space(&self, c: PointId) -> Option<&Arc<DensePointSpace>> {
-        self.table.get(self.index.try_index_of(c)?)?.as_ref()
+        let slot = *self.slots.get(self.index.try_index_of(c)?)?;
+        // `UNPLANNED` is past every class.
+        self.spaces.get(slot as usize)
+    }
+
+    /// Class `k` (of [`classes`](SamplePlan::classes), in first-point
+    /// order): its space, and its points as word-sparse `(word, bits)`
+    /// pairs — bit `b` of `bits` is the point with dense index
+    /// `64 · word + b`. The classes are pairwise disjoint, together hold
+    /// exactly the planned points, and [`space`](SamplePlan::space)
+    /// returns class `k`'s space at each of its points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= classes()`.
+    #[must_use]
+    pub fn class(&self, k: usize) -> (&Arc<DensePointSpace>, &[(usize, u64)]) {
+        (
+            &self.spaces[k],
+            &self.pairs[self.offsets[k]..self.offsets[k + 1]],
+        )
+    }
+
+    /// The points the plan leaves unplanned, in ascending order.
+    pub fn unplanned(&self) -> impl Iterator<Item = PointId> + '_ {
+        // A plan covering every point (every canonical plan) skips the
+        // scan, which every sweep would otherwise pay.
+        let slots = if self.covered == self.slots.len() {
+            &[][..]
+        } else {
+            &self.slots[..]
+        };
+        slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot == UNPLANNED)
+            .map(|(i, _)| self.index.point_at(i))
     }
 
     /// The agent the plan was built for.
@@ -102,7 +141,7 @@ impl SamplePlan {
         self.agent
     }
 
-    /// The point universe the table is indexed by.
+    /// The point universe the slots are indexed by.
     #[must_use]
     pub fn universe(&self) -> &Arc<PointIndex> {
         &self.index
@@ -118,13 +157,13 @@ impl SamplePlan {
         self.extractions
     }
 
-    /// Number of distinct spaces in the table.
+    /// Number of classes (distinct spaces).
     #[must_use]
     pub fn classes(&self) -> usize {
-        self.classes
+        self.spaces.len()
     }
 
-    /// Number of points with a planned space (`Some` entries).
+    /// Number of planned points.
     #[must_use]
     pub fn covered(&self) -> usize {
         self.covered
@@ -133,7 +172,7 @@ impl SamplePlan {
     /// Total number of points in the plan's universe.
     #[must_use]
     pub fn point_count(&self) -> usize {
-        self.table.len()
+        self.slots.len()
     }
 
     /// Whether the build used the batched class-fill path (canonical
@@ -143,11 +182,15 @@ impl SamplePlan {
         self.batched
     }
 
-    /// Heap bytes of the point → space table (the spaces themselves
-    /// belong to the space cache and are counted there).
+    /// Heap bytes of the slots, the class list and the class arena (the
+    /// spaces themselves belong to the space cache and are counted
+    /// there).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.table.capacity() * size_of::<Option<Arc<DensePointSpace>>>()
+        self.slots.capacity() * size_of::<u32>()
+            + self.spaces.capacity() * size_of::<Arc<DensePointSpace>>()
+            + self.offsets.capacity() * size_of::<usize>()
+            + self.pairs.capacity() * size_of::<(usize, u64)>()
     }
 }
 
@@ -155,11 +198,140 @@ impl fmt::Debug for SamplePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SamplePlan")
             .field("agent", &self.agent)
-            .field("points", &self.table.len())
+            .field("points", &self.slots.len())
             .field("covered", &self.covered)
-            .field("classes", &self.classes)
+            .field("classes", &self.spaces.len())
+            .field("pairs", &self.pairs.len())
             .field("extractions", &self.extractions)
             .field("batched", &self.batched)
             .finish()
+    }
+}
+
+/// A plan under construction: the assignment core walks the points in
+/// ascending order and files each newly planned point into its space's
+/// class; [`PlanBuilder::finish`] then lays the classes out as pairs.
+pub(crate) struct PlanBuilder {
+    slots: Vec<u32>,
+    spaces: Vec<Arc<DensePointSpace>>,
+    by_space: HashMap<*const DensePointSpace, u32>,
+    covered: usize,
+}
+
+impl PlanBuilder {
+    /// An empty plan over `points` points, all unplanned.
+    pub(crate) fn new(points: usize) -> PlanBuilder {
+        PlanBuilder {
+            slots: vec![UNPLANNED; points],
+            spaces: Vec::new(),
+            by_space: HashMap::new(),
+            covered: 0,
+        }
+    }
+
+    /// Whether the point with dense index `i` is planned.
+    pub(crate) fn is_planned(&self, i: usize) -> bool {
+        self.slots[i] != UNPLANNED
+    }
+
+    /// Files every not-yet-planned point of `sample` under `space` (the
+    /// batched fill: under uniformity the sample is the class).
+    pub(crate) fn fill_sample(&mut self, space: Arc<DensePointSpace>, sample: &PointSet) {
+        let class = self.class_of(space);
+        let (lo, hi) = sample.footprint();
+        for (k, &word) in sample.as_words()[lo..hi].iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let slot = &mut self.slots[(lo + k) * 64 + rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+                if *slot == UNPLANNED {
+                    *slot = class;
+                    self.covered += 1;
+                }
+            }
+        }
+    }
+
+    /// Files the single point with dense index `i` under `space` (the
+    /// per-point fill of custom assignments).
+    pub(crate) fn fill_point(&mut self, space: Arc<DensePointSpace>, i: usize) {
+        self.slots[i] = self.class_of(space);
+        self.covered += 1;
+    }
+
+    /// The class of `space`, opened (last, hence in first-point order)
+    /// on first sight.
+    fn class_of(&mut self, space: Arc<DensePointSpace>) -> u32 {
+        let key = Arc::as_ptr(&space);
+        if let Some(&class) = self.by_space.get(&key) {
+            return class;
+        }
+        let class = u32::try_from(self.spaces.len())
+            .ok()
+            .filter(|&k| k != UNPLANNED)
+            .expect("class ids fit a u32 slot below the sentinel");
+        self.by_space.insert(key, class);
+        self.spaces.push(space);
+        class
+    }
+
+    /// Lays the classes' pairs out back to back in one arena, from the
+    /// slots: one pass counts each class's words, a second writes the
+    /// pairs, so the arena is allocated once at its exact size and no
+    /// per-class buffer outlives the build.
+    pub(crate) fn finish(
+        mut self,
+        agent: AgentId,
+        index: Arc<PointIndex>,
+        extractions: usize,
+        batched: bool,
+    ) -> SamplePlan {
+        let classes = self.spaces.len();
+        // Pass 1: each class's pair count (one per word it touches),
+        // summed into offsets.
+        let mut offsets = vec![0usize; classes + 1];
+        let mut last_word = vec![usize::MAX; classes];
+        for (k, word) in self.slots.chunks(64).enumerate() {
+            for &slot in word.iter().filter(|&&slot| slot != UNPLANNED) {
+                let class = slot as usize;
+                if last_word[class] != k {
+                    last_word[class] = k;
+                    offsets[class + 1] += 1;
+                }
+            }
+        }
+        for k in 0..classes {
+            offsets[k + 1] += offsets[k];
+        }
+        // Pass 2: the pairs, each class's in ascending word order.
+        let mut next = offsets[..classes].to_vec();
+        let mut pairs = vec![(0usize, 0u64); offsets[classes]];
+        last_word.fill(usize::MAX);
+        for (k, word) in self.slots.chunks(64).enumerate() {
+            for (b, &slot) in word.iter().enumerate() {
+                if slot == UNPLANNED {
+                    continue;
+                }
+                let class = slot as usize;
+                if last_word[class] != k {
+                    last_word[class] = k;
+                    pairs[next[class]] = (k, 0);
+                    next[class] += 1;
+                }
+                pairs[next[class] - 1].1 |= 1 << b;
+            }
+        }
+        self.spaces.shrink_to_fit();
+        SamplePlan {
+            agent,
+            index,
+            slots: self.slots,
+            spaces: self.spaces,
+            offsets,
+            pairs,
+            extractions,
+            covered: self.covered,
+            batched,
+        }
     }
 }

@@ -103,8 +103,8 @@ pub(crate) struct EvalView<'e> {
     /// The hash-consing arena the compiled path interns into (owned by
     /// the model/artifact, like the memos).
     pub(crate) arena: &'e FormulaArena,
-    /// Whether `pr_ge_set` resolves spaces through the batched
-    /// [`SamplePlan`] table (off only for differential testing).
+    /// Whether `pr_ge_set` sweeps the batched [`SamplePlan`]'s classes
+    /// (off only for differential testing).
     pub(crate) plan: bool,
 }
 
@@ -349,13 +349,16 @@ impl EvalView<'_> {
     }
 
     /// The one-sweep kernel behind [`EvalView::pr_ge_family`] and (with
-    /// k = 1) [`EvalView::pr_ge_set`]: walk the points once, resolve
-    /// each point's space once (plan table first, per-point fallback on
-    /// the points the plan has no entry for), compute each distinct
-    /// space's inner measure once, and emit one verdict bit per α.
-    /// Thresholding is exact — measures are exact rationals, so
-    /// `inner ≥ α` per class is precisely what k independent sweeps
-    /// would compute.
+    /// k = 1) [`EvalView::pr_ge_set`]. Like `K_i`, each threshold set is
+    /// a union of whole classes: the plan's classes are visited in
+    /// first-point order, each class's inner measure is computed once,
+    /// and the class's points are ORed word-wise into every set whose α
+    /// it reaches. The points the plan leaves unplanned — or every
+    /// point, with the plan off — then go one by one in ascending
+    /// order, each distinct space measured once, so the first point
+    /// where the assignment fails reports its error. Thresholding is
+    /// exact — measures are exact rationals, so `inner ≥ α` per class
+    /// is precisely what k independent sweeps would compute.
     fn family_sweep(
         &self,
         agent: AgentId,
@@ -363,7 +366,6 @@ impl EvalView<'_> {
         sat: &PointSet,
     ) -> Result<Vec<PointSet>, LogicError> {
         let sys = self.sys;
-        let k = alphas.len();
         // One exact-footprint pass before the sweep: every class space
         // below measures this set through its footprint hint, so the
         // tightest range multiplies across thousands of queries. The
@@ -377,21 +379,24 @@ impl EvalView<'_> {
         // is a single atomic load.
         let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
         let _sweep_timer = kpa_trace::span!("logic.pr_sweep_ns");
-        let mut out: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
-        // One verdict row per distinct space, for the whole sweep.
+        let mut out: Vec<PointSet> = alphas.iter().map(|_| sys.empty_points()).collect();
+        if let Some(plan) = &plan {
+            for k in 0..plan.classes() {
+                let (space, pairs) = plan.class(k);
+                let inner = self.inner_of(space, sat);
+                for (acc, alpha) in out.iter_mut().zip(alphas) {
+                    if inner >= *alpha {
+                        acc.union_word_pairs(pairs);
+                    }
+                }
+            }
+        }
+        // One verdict row per distinct fallback space.
         let mut by_space: HashMap<*const DensePointSpace, Vec<bool>> = HashMap::new();
-        let (mut hits, mut fallbacks) = (0u64, 0u64);
-        for c in sys.points() {
-            let space = match plan.as_ref().and_then(|p| p.space(c)) {
-                Some(space) => {
-                    hits += 1;
-                    Arc::clone(space)
-                }
-                None => {
-                    fallbacks += 1;
-                    self.core.space(sys, agent, c)?
-                }
-            };
+        let mut fallbacks = 0u64;
+        let mut fallback = |c: PointId| -> Result<(), LogicError> {
+            fallbacks += 1;
+            let space = self.core.space(sys, agent, c)?;
             let verdicts = &*by_space.entry(Arc::as_ptr(&space)).or_insert_with(|| {
                 let inner = self.inner_of(&space, sat);
                 alphas.iter().map(|alpha| inner >= *alpha).collect()
@@ -401,8 +406,15 @@ impl EvalView<'_> {
                     acc.insert(c);
                 }
             }
+            Ok(())
+        };
+        match &plan {
+            Some(plan) => plan.unplanned().try_for_each(&mut fallback)?,
+            None => sys.points().try_for_each(&mut fallback)?,
         }
-        kpa_trace::count!("logic.plan_hit", hits);
+        // Both count points: a planned class counts each of its points.
+        let hits = plan.as_ref().map_or(0, |p| p.covered());
+        kpa_trace::count!("logic.plan_hit", hits as u64);
         kpa_trace::count!("logic.plan_fallback", fallbacks);
         Ok(out)
     }
@@ -671,7 +683,7 @@ impl ModelArtifact {
 
     /// Approximate heap bytes this artifact holds: the assignment core
     /// (every canonical space with its dense kernel, the space-cache
-    /// keys and the plan tables, see [`AssignCore::heap_bytes`]), every
+    /// keys and the plans, see [`AssignCore::heap_bytes`]), every
     /// satisfaction set its memos and arena reach — counted once
     /// however many maps share it — and a fixed size per memo entry and
     /// interned term. This is a telemetry gauge for cache-occupancy
@@ -1017,17 +1029,21 @@ mod tests {
         let artifact = ModelArtifact::new(Arc::new(observed_coins()), Assignment::post());
         let sys = artifact.system();
         let mut seen = HashSet::new();
-        let mut kernels = 0;
+        let (mut kernels, mut plans) = (0, 0);
         for agent in (0..sys.agent_count()).map(AgentId) {
             let plan = artifact.core().sample_plan(sys, agent);
-            for space in sys.points().filter_map(|c| plan.space(c)) {
+            plans += plan.heap_bytes();
+            for k in 0..plan.classes() {
+                let (space, _) = plan.class(k);
                 if seen.insert(Arc::as_ptr(space)) {
                     kernels += space.kernel().expect("dense kernel").heap_bytes();
                 }
             }
         }
         assert!(kernels > 0);
-        assert!(artifact.approx_resident_bytes() >= kernels as u64);
+        // Each plan holds a `u32` slot per point besides its classes.
+        assert!(plans > sys.agent_count() * sys.point_count() * size_of::<u32>());
+        assert!(artifact.approx_resident_bytes() >= (kernels + plans) as u64);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl<'a, 's> Model<'a, 's> {
     /// `knows_set`/`pr_ge_set` queries), `pr` the
     /// per-class inner-measure memo behind `pr_ge_set`, and `plan` the
     /// per-agent batched [`kpa_assign::SamplePlan`] that replaces
-    /// per-point sample extraction with a table lookup. All eight
+    /// per-point sample extraction with a sweep over its classes. All eight
     /// combinations produce bit-identical satisfaction sets (pinned by
     /// `tests/memo_consistency.rs`, the measure-kernel differential
     /// suite, and `tests/plan_differential.rs`); the knobs exist for
@@ -271,20 +271,19 @@ impl<'a, 's> Model<'a, 's> {
     /// `Prᵢ(S) ≥ α` as a set: the points `c` where the inner measure of
     /// `S` in agent `i`'s space at `c` is at least `α`.
     ///
-    /// Uniform assignments repeat one space across each whole
-    /// indistinguishability class; the measure query runs *once per
-    /// distinct space*, not once per point: a sweep-local verdict memo
-    /// short-circuits repeats within the sweep, and the model-level
-    /// [`Model::pr_memo_enabled`] memo — keyed by (space identity,
-    /// sat set, shared by `Arc`) and valued by the inner measure — shares
-    /// the query across sweeps, thresholds α, and formulas. When the
-    /// sample plan is enabled the per-point *space lookup* is a table
-    /// index into the agent's batched [`kpa_assign::SamplePlan`] (same
-    /// `Arc`s as the naive path, so memo keys are unchanged); points
-    /// the plan does not cover fall back to the per-point path,
-    /// reproducing its exact errors. All of these cache pure functions
-    /// of their keys, so the set is bit-identical to the memo-free,
-    /// unplanned sweep.
+    /// Uniform assignments repeat one space across each whole class;
+    /// the measure query runs *once per distinct space*, not once per
+    /// point, and the model-level [`Model::pr_memo_enabled`] memo —
+    /// keyed by (space identity, sat set, shared by `Arc`) and valued by
+    /// the inner measure — shares the query across sweeps, thresholds
+    /// α, and formulas. When the sample plan is enabled the sweep visits
+    /// the agent's batched [`kpa_assign::SamplePlan`] a class at a time
+    /// (same `Arc`s as the naive path, so memo keys are unchanged) and
+    /// ORs each passing class's points into the set at once; points the
+    /// plan does not cover fall back to the per-point path in ascending
+    /// order, reproducing its exact errors. All of these cache pure
+    /// functions of their keys, so the set is bit-identical to the
+    /// memo-free, unplanned sweep.
     ///
     /// # Errors
     ///

@@ -541,6 +541,35 @@ impl PointSet {
         }
     }
 
+    /// In-place union with a word-sparse set given as `(word, bits)`
+    /// pairs: bit `b` of `bits` is the point with dense index
+    /// `64 · word + b`. Touches only the listed words, and the footprint
+    /// grows to cover them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a word lies outside the universe.
+    pub fn union_word_pairs(&mut self, pairs: &[(usize, u64)]) {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &(k, bits) in pairs {
+            self.words[k] |= bits;
+            lo = lo.min(k);
+            hi = hi.max(k + 1);
+        }
+        if lo >= hi {
+            return;
+        }
+        // Bits past the last point would break `len` and equality.
+        if hi == self.words.len() {
+            self.words[hi - 1] &= self.index.tail_mask();
+        }
+        if self.fp_lo >= self.fp_hi {
+            self.set_fp(lo, hi);
+        } else {
+            self.set_fp(self.fp_lo.min(lo), self.fp_hi.max(hi));
+        }
+    }
+
     /// In-place intersection. Touches only `self`'s footprint: the
     /// result can be non-zero only where both footprints overlap, so
     /// words of `self` outside the overlap are zeroed and the rest are
@@ -1198,6 +1227,30 @@ mod tests {
         c.clear();
         assert_eq!(c.footprint(), (0, 0));
         assert!(c.is_empty() && c.footprint_is_valid());
+    }
+
+    #[test]
+    fn word_pair_unions_match_point_inserts() {
+        let ix = wide_idx();
+        // Words 5 and 2 (out of order), then the tail word 6, whose
+        // bits past point 399 must be dropped.
+        let pairs = [(5, 0b101), (2, 1 << 63), (6, u64::MAX)];
+        let mut s = PointSet::empty(Arc::clone(&ix));
+        s.union_word_pairs(&pairs);
+        let mut expect = PointSet::empty(Arc::clone(&ix));
+        expect.extend([320, 322, 191].map(|i| ix.point_at(i)));
+        expect.extend((384..400).map(|i| ix.point_at(i)));
+        assert_eq!(s, expect);
+        assert_eq!(s.len(), 19);
+        assert_eq!(s.footprint(), (2, 7));
+        assert!(s.footprint_is_valid());
+        // Growing a non-empty footprint downward; no pairs is a no-op.
+        let mut t = PointSet::from_points(Arc::clone(&ix), [pt(0, 39, 0)]);
+        t.union_word_pairs(&[(0, 1)]);
+        t.union_word_pairs(&[]);
+        assert_eq!(t.footprint(), (0, 7));
+        assert_eq!(t.len(), 2);
+        assert!(t.footprint_is_valid());
     }
 
     #[test]

@@ -401,10 +401,25 @@ impl System {
         self.node_of(p).props().contains(&prop)
     }
 
-    /// Every point whose global state satisfies the proposition.
+    /// Every point whose global state satisfies the proposition, built
+    /// from the labeled nodes: a node carrying it contributes the point
+    /// at its depth on each run through it. Stutter nodes carry their
+    /// own depth, so every point is that pair for exactly one node.
     #[must_use]
     pub fn points_satisfying(&self, prop: PropId) -> PointSet {
-        self.point_set(self.points().filter(|&p| self.holds(prop, p)))
+        let mut set = self.empty_points();
+        for (t, tree) in self.trees.iter().enumerate() {
+            for (node, runs) in tree.nodes.iter().zip(&tree.node_runs) {
+                if node.props.contains(&prop) {
+                    set.extend(runs.iter().map(|&run| PointId {
+                        tree: TreeId(t),
+                        run,
+                        time: node.depth,
+                    }));
+                }
+            }
+        }
+        set
     }
 
     /// Adds a new primitive proposition defined by a predicate on global

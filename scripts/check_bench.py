@@ -92,11 +92,16 @@ PROFILES = {
         "asserted": {
             "sat_bitset_vs_btreeset": 2.0,
             "measure_dense_vs_generic": 2.0,
-            "pr_ge_dag_on_vs_off": 2.0,
             "pr_ge_plan_on_vs_off": 2.0,
         },
         "positive": set(),
-        "excluded": {"par_sat_threads4_vs_1"},
+        # pr_ge_dag_on_vs_off timed eight serial Pr sweeps against one
+        # family sweep, so it measured the per-point walk each sweep
+        # paid.  Sweeps now walk whole classes, the walk is gone and
+        # the ratio sits near 1x; the kernel bench asserts the property
+        # it stood for as a count instead (the serial row resolves
+        # exactly 8x the family row's points through the plan).
+        "excluded": {"par_sat_threads4_vs_1", "pr_ge_dag_on_vs_off"},
     },
     "shared": {
         "asserted": {},

@@ -23,13 +23,13 @@
 mod common;
 
 use common::{arb_async_spec, arb_sync_spec, build, cases, cases_sharded, prop_names};
-use kpa::assign::{Assignment, ProbAssignment};
+use kpa::assign::{AssignError, Assignment, ProbAssignment};
 use kpa::asynchrony::CutClass;
 use kpa::betting::{inner_expected_winnings, BetRule, BettingGame, Strategy};
-use kpa::logic::{Formula, Model};
+use kpa::logic::{Formula, LogicError, Model};
 use kpa::measure::{rat, Rat, Rng64};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
-use kpa::system::{AgentId, System};
+use kpa::system::{AgentId, PointId, System, TreeId};
 use std::sync::Arc;
 
 /// The paper walkthrough systems: the introduction's secret coin, the
@@ -90,8 +90,50 @@ fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: Agent
             }
         }
     }
-    assert_eq!(plan.covered(), covered, "covered() counts Some entries");
+    assert_eq!(plan.covered(), covered, "covered() counts planned points");
     assert!(plan.is_batched(), "canonical assignments batch");
+    // The class layout: pairwise disjoint classes in first-point order,
+    // each equal to its sample (uniformity) and holding the `Arc` that
+    // `space(c)` returns at every one of its points; together exactly
+    // the covered points, and `unplanned()` lists the rest.
+    let mut union = sys.empty_points();
+    let mut last_first = None;
+    for k in 0..plan.classes() {
+        let (space, pairs) = plan.class(k);
+        let mut class = sys.empty_points();
+        class.union_word_pairs(pairs);
+        let first = class.first().expect("classes are nonempty");
+        assert!(
+            last_first < Some(first),
+            "class {k} is out of first-point order"
+        );
+        last_first = Some(first);
+        assert!(
+            union.is_disjoint(&class),
+            "class {k} overlaps an earlier class"
+        );
+        assert_eq!(
+            class,
+            pa.sample(agent, first),
+            "class {k} is not its sample"
+        );
+        for c in &class {
+            let planned = plan.space(c).expect("class points are planned");
+            assert!(
+                Arc::ptr_eq(planned, space),
+                "class {k} holds another space at {c:?}"
+            );
+        }
+        union.union_with(&class);
+    }
+    let planned_points = sys.point_set(sys.points().filter(|&c| plan.space(c).is_some()));
+    assert_eq!(
+        union, planned_points,
+        "classes hold exactly the covered points"
+    );
+    assert!(plan
+        .unplanned()
+        .eq(sys.points().filter(|&c| plan.space(c).is_none())));
     assert_eq!(
         plan.extractions(),
         plan.classes() + (sys.point_count() - covered),
@@ -366,7 +408,7 @@ fn custom_assignments_fall_back_with_exact_errors() {
         assert!(Arc::ptr_eq(plan.space(c).expect("covered"), &naive));
     }
 
-    // Custom pr_ge sweeps stay plan-invariant too (fallback-only path).
+    // Custom pr_ge sweeps stay plan-invariant too (single-point classes).
     let pa_planned = ProbAssignment::new(&sys, Assignment::custom("singleton", |_, _, c| vec![c]));
     let pa_naive = ProbAssignment::new(&sys, Assignment::custom("singleton", |_, _, c| vec![c]));
     let planned = Model::with_memos(&pa_planned, true, true, true);
@@ -378,4 +420,72 @@ fn custom_assignments_fall_back_with_exact_errors() {
             naive.pr_ge_set(p1, alpha, &phi).expect("naive"),
         );
     }
+
+    // A custom assignment that is well defined at most points (the
+    // tree's time slice, so classes span many points) but breaks REQ2
+    // at two later points. The classes are swept before the unplanned
+    // points, yet the error must still name the first failing point in
+    // ascending order, exactly as the plan-free sweep reports it.
+    let tosses = async_coin_tosses(4).expect("builds");
+    let at = |run, time| PointId {
+        tree: TreeId(0),
+        run,
+        time,
+    };
+    let bad = [at(9, 1), at(3, 2)];
+    let holey = move |s: &System, _: AgentId, c: PointId| -> Vec<PointId> {
+        if bad.contains(&c) {
+            Vec::new()
+        } else {
+            s.points_at_time(c.tree, c.time).collect()
+        }
+    };
+    let pa_planned = ProbAssignment::new(&tosses, Assignment::custom("holey", holey));
+    let pa_naive = ProbAssignment::new(&tosses, Assignment::custom("holey", holey));
+    let plan = pa_planned.sample_plan(p1);
+    assert!(plan.classes() > 1 && plan.classes() < plan.covered());
+    assert!(plan.unplanned().eq([at(3, 2), at(9, 1)]));
+    let planned = Model::with_memos(&pa_planned, true, true, true);
+    let naive = Model::with_memos(&pa_naive, true, true, false);
+    let body = Formula::prop("recent=h");
+    let phi = tosses.points_satisfying(tosses.prop_id("recent=h").expect("prop"));
+    let alphas = [rat!(1 / 4), rat!(1 / 2), Rat::ONE];
+    for &alpha in &alphas {
+        let on = planned.pr_ge_set(p1, alpha, &phi).expect_err("REQ2");
+        let off = naive.pr_ge_set(p1, alpha, &phi).expect_err("REQ2");
+        assert_eq!(format!("{on:?}"), format!("{off:?}"));
+        assert!(
+            matches!(on, LogicError::Assign(AssignError::Req2Violated { point, .. }) if point == at(3, 2)),
+            "{on:?}"
+        );
+    }
+    let on = planned.pr_ge_family(p1, &alphas, &body).expect_err("REQ2");
+    let off = naive.pr_ge_family(p1, &alphas, &body).expect_err("REQ2");
+    assert_eq!(format!("{on:?}"), format!("{off:?}"));
+
+    // A custom assignment giving many points one shared sample that
+    // does not contain them all (points at times 2t and 2t + 1 share
+    // the time-t slice), so the per-point plan's classes hold many
+    // points and differ from their samples.
+    let halves = |s: &System, _: AgentId, c: PointId| -> Vec<PointId> {
+        s.points_at_time(c.tree, c.time / 2).collect()
+    };
+    let pa_planned = ProbAssignment::new(&tosses, Assignment::custom("halves", halves));
+    let pa_naive = ProbAssignment::new(&tosses, Assignment::custom("halves", halves));
+    let plan = pa_planned.sample_plan(p1);
+    assert!(!plan.is_batched());
+    assert_eq!(plan.covered(), tosses.point_count());
+    assert_eq!(plan.classes(), tosses.horizon() / 2 + 1);
+    let planned = Model::with_memos(&pa_planned, true, true, true);
+    let naive = Model::with_memos(&pa_naive, true, true, false);
+    for &alpha in &alphas {
+        assert_eq!(
+            planned.pr_ge_set(p1, alpha, &phi).expect("planned"),
+            naive.pr_ge_set(p1, alpha, &phi).expect("naive"),
+        );
+    }
+    let on = planned.pr_ge_family(p1, &alphas, &body).expect("planned");
+    let off = naive.pr_ge_family(p1, &alphas, &body).expect("naive");
+    assert_eq!(on, off);
+    assert!(on.iter().any(|set| !set.is_empty()));
 }

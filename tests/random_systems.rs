@@ -19,7 +19,8 @@ use kpa::asynchrony::prop10_holds;
 use kpa::betting::{BetRule, BettingGame};
 use kpa::logic::Model;
 use kpa::measure::Rat;
-use kpa::system::AgentId;
+use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
+use kpa::system::{AgentId, System, SystemBuilder};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
@@ -236,6 +237,57 @@ fn consistency_axiom_on_random_systems() {
                 assert!(knows.is_subset(&certain));
             }
         }
+    });
+}
+
+/// `System::points_satisfying` (built from the labeled nodes) against
+/// the per-point definition — every point whose global state carries
+/// the proposition — for every proposition of the walkthrough systems,
+/// a stutter-padded tree, and random sync and async systems.
+#[test]
+fn points_satisfying_matches_the_per_point_definition() {
+    fn check(sys: &System) {
+        for name in sys.prop_names() {
+            let prop = sys.prop_id(name).expect("listed prop");
+            let by_node = sys.points_satisfying(prop);
+            let by_point = sys.point_set(sys.points().filter(|&p| sys.holds(prop, p)));
+            assert_eq!(by_node, by_point, "points_satisfying({name}) diverged");
+            assert!(by_node.footprint_is_valid());
+        }
+    }
+    for sys in [
+        secret_coin().expect("builds"),
+        async_coin_tosses(4).expect("builds"),
+        ca1(3, Rat::new(1, 2)).expect("builds"),
+    ] {
+        check(&sys);
+    }
+    // Uneven leaves: the short run's last point is a stutter node.
+    let mut b = SystemBuilder::new(["p1"]);
+    let t = b.add_tree("a");
+    let root = b.add_root(t, &["s"], &["start"]).expect("root");
+    b.add_child(t, root, Rat::new(1, 2), &["short"], &["done"])
+        .expect("child");
+    let long = b
+        .add_child(t, root, Rat::new(1, 2), &["long"], &[])
+        .expect("child");
+    b.add_child(t, long, Rat::ONE, &["long2"], &["done"])
+        .expect("child");
+    let padded = b.build().expect("builds");
+    assert_eq!(
+        padded
+            .points_satisfying(padded.prop_id("done").expect("prop"))
+            .len(),
+        3
+    );
+    check(&padded);
+    cases("points_satisfying_oracle", |rng| {
+        let spec = if rng.chance(1, 2) {
+            arb_sync_spec(rng)
+        } else {
+            arb_async_spec(rng)
+        };
+        check(&build(&spec));
     });
 }
 
