@@ -54,10 +54,11 @@
 //!
 //! The spaces in the plan are the *same `Arc`s* the per-point
 //! [`ProbAssignment::space`](crate::ProbAssignment::space) cache hands
-//! out (the plan builder goes through that cache), so pointer-keyed
-//! memos — in particular the `Pr` memo of `kpa-logic`'s `Model` — see
-//! identical keys whether a space arrived via the plan or via the naive
-//! path. `tests/plan_differential.rs` pins this with `Arc::ptr_eq`.
+//! out (the plan builder goes through that cache), so anything keyed by
+//! a space's address — such as the sweep-local verdict map of
+//! `kpa-logic`'s unplanned fallback — sees identical keys whether a
+//! space arrived via the plan or via the naive path.
+//! `tests/plan_differential.rs` pins this with `Arc::ptr_eq`.
 
 use crate::dense::DensePointSpace;
 use kpa_system::{AgentId, PointId, PointIndex, PointSet};

@@ -15,19 +15,19 @@
 //!
 //! A third timed section pins the dense *measure* kernel: the fused
 //! word-masked `measure_interval` of `DensePointSpace` against the
-//! generic element-at-a-time scan of the same spaces (required ≥ 2×
-//! faster), and the `Pr_i ≥ α` threshold family as k serial tree-walk
-//! sweeps vs one batched `pr_ge_family` call through the hash-consed
-//! formula DAG. Both sweeps visit whole classes, so their times sit
-//! close; the traced pass asserts instead that the serial row resolves
-//! exactly k times the points the family row does.
+//! generic element-at-a-time scan of the same spaces, once over the
+//! clockless agent's spaces (block traces) and once over a clocked
+//! agent's (one point per run, counted by popcount); each dense row is
+//! required ≥ 2× faster. Then the `Pr_i ≥ α` threshold family as k
+//! serial tree-walk sweeps vs one batched `pr_ge_family` call through
+//! the hash-consed formula DAG. Both sweeps visit whole classes, so
+//! their times sit close; the traced pass asserts instead that the
+//! serial row resolves exactly k times the points the family row does.
 //!
 //! A fourth timed section pins the batched sample plan: the same
-//! memoized `Pr_i ≥ α` threshold family with the per-agent
-//! `SamplePlan` off (the unplanned per-point extraction path) vs on
-//! (one OR of each class's words); the planned sweep is required to be
-//! ≥ 2× faster — the speedup the `Pr` memo alone could not deliver
-//! while every point re-extracted its sample.
+//! `Pr_i ≥ α` threshold family with the per-agent `SamplePlan` off
+//! (the unplanned per-point extraction path) vs on (one OR of each
+//! class's words); the planned sweep is required to be ≥ 2× faster.
 //!
 //! After the timed sections, a traced pass re-runs each row's workload
 //! once under `kpa-trace` and asserts — via the kernel fallback
@@ -43,12 +43,13 @@
 //! gates them against `baselines/kernel.json` and
 //! `baselines/trace.json`.
 
-use kpa_assign::{Assignment, ProbAssignment};
+use kpa_assign::{Assignment, DensePointSpace, ProbAssignment};
 use kpa_logic::{Formula, Model};
 use kpa_measure::{rat, Rat};
 use kpa_protocols::{async_coin_tosses, ca1, secret_coin};
-use kpa_system::{AgentId, PointId, System};
+use kpa_system::{AgentId, PointId, PointSet, System};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Reference evaluator: the paper's satisfaction relation, computed
 /// point-by-point over `BTreeSet<PointId>`. Covers the fragment the
@@ -130,6 +131,42 @@ fn reference_sat(sys: &System, pa: &ProbAssignment<'_>, f: &Formula) -> BTreeSet
         }
         _ => panic!("reference evaluator: unsupported fragment {f:?}"),
     }
+}
+
+/// The distinct sample spaces `agent` sees under `pa`, each checked to
+/// carry a dense kernel.
+fn distinct_spaces(
+    sys: &System,
+    pa: &ProbAssignment<'_>,
+    agent: AgentId,
+) -> Vec<Arc<DensePointSpace>> {
+    let mut spaces: Vec<Arc<DensePointSpace>> = Vec::new();
+    for c in sys.points() {
+        let s = pa.space(agent, c).expect("space builds");
+        if !spaces.iter().any(|d| Arc::ptr_eq(d, &s)) {
+            assert!(s.has_kernel(), "dense kernel must build for paper systems");
+            spaces.push(s);
+        }
+    }
+    spaces
+}
+
+/// The sum of every `(inner, outer)` bound of `queries` over `spaces`,
+/// through the dispatching dense path or the generic scan.
+fn interval_sum(spaces: &[Arc<DensePointSpace>], queries: &[PointSet], dense: bool) -> Rat {
+    let mut acc = Rat::ZERO;
+    for s in spaces {
+        for q in queries {
+            let (lo, hi) = if dense {
+                s.measure_interval(q)
+            } else {
+                s.generic().measure_interval(q)
+            };
+            acc += lo;
+            acc += hi;
+        }
+    }
+    acc
 }
 
 /// Asserts that the kernel evaluator and the reference evaluator agree
@@ -237,14 +274,7 @@ fn main() {
     let phi_set = sys.points_satisfying(sys.prop_id("recent=h").expect("prop"));
     let c0_set = sys.points_satisfying(sys.prop_id("c0=h").expect("prop"));
     // The distinct sample spaces the clockless agent sees under P^post.
-    let mut spaces = Vec::new();
-    for c in sys.points() {
-        let s = post.space(p1, c).expect("space builds");
-        if !spaces.iter().any(|d| std::sync::Arc::ptr_eq(d, &s)) {
-            assert!(s.has_kernel(), "dense kernel must build for paper systems");
-            spaces.push(s);
-        }
-    }
+    let spaces = distinct_spaces(&sys, &post, p1);
     let queries = [
         phi_set.clone(),
         phi_set.complement(),
@@ -252,9 +282,17 @@ fn main() {
         c0_set.union(&phi_set),
         sys.full_points(),
     ];
+    // The clocked agent p2's post spaces are its time slices: one point
+    // per run, so every block is a single point and the kernel counts
+    // them by popcount.
+    let point_spaces = distinct_spaces(&sys, &post, p2);
+    assert!(
+        point_spaces.iter().all(|s| s.len() == s.block_count()),
+        "p2's post spaces hold one point per run"
+    );
     // Both paths agree query-for-query (the differential suite sweeps
     // this broadly; re-asserted here so the timed rows do equal work).
-    for s in &spaces {
+    for s in spaces.iter().chain(&point_spaces) {
         for q in &queries {
             assert_eq!(
                 s.measure_interval(q),
@@ -264,49 +302,45 @@ fn main() {
         }
     }
     let n_spaces = spaces.len();
-    let dense_t = kpa_bench::bench_time(
-        &format!("measure_interval/dense/{n_spaces}x{n_points}"),
-        reps,
-        || {
-            let mut acc = Rat::ZERO;
-            for s in &spaces {
-                for q in &queries {
-                    let (lo, hi) = s.measure_interval(q);
-                    acc += lo;
-                    acc += hi;
-                }
-            }
-            acc
-        },
-    );
-    let generic_t = kpa_bench::bench_time(
-        &format!("measure_interval/generic/{n_spaces}x{n_points}"),
-        reps,
-        || {
-            let mut acc = Rat::ZERO;
-            for s in &spaces {
-                for q in &queries {
-                    let (lo, hi) = s.generic().measure_interval(q);
-                    acc += lo;
-                    acc += hi;
-                }
-            }
-            acc
-        },
-    );
-    rows.push((
+    let n_point_spaces = point_spaces.len();
+    let mut timed = |label: String, spaces: &[Arc<DensePointSpace>], dense: bool| {
+        let t = kpa_bench::bench_time(&label, reps, || interval_sum(spaces, &queries, dense));
+        rows.push((label, t));
+        t
+    };
+    let dense_t = timed(
         format!("measure_interval/dense/{n_spaces}x{n_points}"),
-        dense_t,
-    ));
-    rows.push((
+        &spaces,
+        true,
+    );
+    let generic_t = timed(
         format!("measure_interval/generic/{n_spaces}x{n_points}"),
-        generic_t,
-    ));
+        &spaces,
+        false,
+    );
+    let points_t = timed(
+        format!("measure_interval/points/{n_point_spaces}x{n_points}"),
+        &point_spaces,
+        true,
+    );
+    let points_generic_t = timed(
+        format!("measure_interval/points_generic/{n_point_spaces}x{n_points}"),
+        &point_spaces,
+        false,
+    );
     let measure_speedup = generic_t.as_secs_f64() / dense_t.as_secs_f64();
-    println!("\nmeasure kernel speedup: {measure_speedup:.1}× (dense vs generic)");
+    let points_speedup = points_generic_t.as_secs_f64() / points_t.as_secs_f64();
+    println!(
+        "\nmeasure kernel speedup: {measure_speedup:.1}× (dense vs generic), \
+         {points_speedup:.1}× (points vs generic)"
+    );
     assert!(
         measure_speedup >= 2.0,
         "dense measure kernel must be ≥ 2× faster than the generic scan (got {measure_speedup:.2}×)"
+    );
+    assert!(
+        points_speedup >= 2.0,
+        "the points layout must be ≥ 2× faster than the generic scan (got {points_speedup:.2}×)"
     );
 
     // ------------------------------------------------------------------
@@ -368,15 +402,15 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Batched sample plan: the same memoized threshold family with the
+    // Batched sample plan: the same threshold family with the
     // per-agent SamplePlan off (per-point sample extraction) vs on (one
     // OR of each class's words), so the row isolates the per-point
     // extraction cost.
     // ------------------------------------------------------------------
     let run_family_planned = |plan: bool| -> Vec<usize> {
-        // Pr memo ON both ways: the comparison is plan vs no-plan on
-        // the memoized sweep the engine actually runs.
-        let model = Model::with_memos(&post, true, true, plan);
+        // The subterm memo is on both ways: the comparison is plan vs
+        // no plan on the sweep the engine actually runs.
+        let model = Model::with_memos(&post, true, false, plan);
         family
             .iter()
             .map(|f| model.sat(f).expect("model checks").len())
@@ -451,26 +485,20 @@ fn main() {
         traced(format!("kernel_k_alpha/fresh_fut/{n_points}"), &mut || {
             let _ = run_cold_k_alpha();
         });
-        traced(
-            format!("measure_interval/dense/{n_spaces}x{n_points}"),
-            &mut || {
-                for s in &spaces {
-                    for q in &queries {
-                        let _ = s.measure_interval(q);
-                    }
-                }
-            },
-        );
-        traced(
-            format!("measure_interval/generic/{n_spaces}x{n_points}"),
-            &mut || {
-                for s in &spaces {
-                    for q in &queries {
-                        let _ = s.generic().measure_interval(q);
-                    }
-                }
-            },
-        );
+        for (label, spaces, dense) in [
+            ("dense", &spaces, true),
+            ("generic", &spaces, false),
+            ("points", &point_spaces, true),
+            ("points_generic", &point_spaces, false),
+        ] {
+            let k = spaces.len();
+            traced(
+                format!("measure_interval/{label}/{k}x{n_points}"),
+                &mut || {
+                    let _ = interval_sum(spaces, &queries, dense);
+                },
+            );
+        }
         traced(format!("pr_ge_family/dag_off/{n_points}"), &mut || {
             let _ = run_dag_off();
         });
@@ -512,14 +540,38 @@ fn main() {
         wide_blocks > 0,
         "dense row must scan blocks through the wide kernel path"
     );
-    // The generic row goes around the dispatcher entirely: no dense
+    // The generic rows go around the dispatcher entirely: no dense
     // queries at all.
-    let generic_row = &row_deltas[&format!("measure_interval/generic/{n_spaces}x{n_points}")];
+    for label in [
+        format!("measure_interval/generic/{n_spaces}x{n_points}"),
+        format!("measure_interval/points_generic/{n_point_spaces}x{n_points}"),
+    ] {
+        assert_eq!(
+            row_deltas[&label]
+                .get("measure.dense_query")
+                .copied()
+                .unwrap_or(0),
+            0,
+            "{label} must not touch the dense kernel"
+        );
+    }
+    // Every query of the points row takes the points layout: as many
+    // point queries as kernel queries, one per space and set, and no
+    // block scanned.
+    let points_row = &row_deltas[&format!("measure_interval/points/{n_point_spaces}x{n_points}")];
+    let count = |name: &str| points_row.get(name).copied().unwrap_or(0);
     assert_eq!(
-        generic_row.get("measure.dense_query").copied().unwrap_or(0),
-        0,
-        "generic row must not touch the dense kernel"
+        count("measure.point_query"),
+        (n_point_spaces * queries.len()) as u64,
+        "points row must answer every query by popcount"
     );
+    assert_eq!(
+        count("measure.point_query"),
+        count("measure.dense_query"),
+        "points row must not reach the block scan"
+    );
+    assert_eq!(count("measure.wide_blocks"), 0);
+    assert_eq!(count("assign.generic_measure"), 0);
     // The planned sweep must actually hit the plan.
     let plan_row = &row_deltas[&format!("pr_ge_family/plan_on/{n_points}")];
     let plan_hits_traced = plan_row.get("logic.plan_hit").copied().unwrap_or(0);
@@ -594,6 +646,7 @@ fn main() {
         &[
             ("sat_bitset_vs_btreeset", speedup),
             ("measure_dense_vs_generic", measure_speedup),
+            ("measure_points_vs_generic", points_speedup),
             ("pr_ge_dag_on_vs_off", dag_speedup),
             ("pr_ge_plan_on_vs_off", plan_speedup),
         ],

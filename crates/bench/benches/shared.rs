@@ -41,8 +41,8 @@ const ROUNDS: usize = 100;
 
 /// The mixed query family every client repeats: sat, knowledge,
 /// common knowledge, and two `Pr` thresholds over one body, so the
-/// clients collide on the formula cache, the `knows_set` memo, the
-/// `Pr` memo, and the plan table at once.
+/// clients collide on the formula cache, the `knows_set` memo and the
+/// plan table at once.
 fn formula_family(sys: &System) -> Vec<Formula> {
     let p = Formula::prop("recent=h");
     let q = Formula::prop("c0=h");
@@ -185,7 +185,6 @@ fn main() {
             "logic.subterm_memo.hit",
             "logic.subterm_memo.miss",
         ),
-        ("logic.pr_memo", "logic.pr_memo_hit", "logic.pr_memo_miss"),
     ] {
         println!(
             "traced {memo:<18} {:>8} hits  {:>6} misses",

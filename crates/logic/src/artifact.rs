@@ -7,7 +7,7 @@
 //!
 //! * [`ModelArtifact`] — the shareable half: an `Arc<System>`, the
 //!   sample-space assignment's [`AssignCore`] (space cache +
-//!   write-once per-agent plan table), and the three evaluation memos
+//!   write-once per-agent plan table), and the two evaluation memos
 //!   as [`Memo`]s. The artifact is `Send + Sync` and is meant to be
 //!   built **once** and shared as `Arc<ModelArtifact>` across any
 //!   number of query threads; each memo's one lock is held for a
@@ -42,7 +42,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// The three evaluation memos, each a [`Memo`]:
+/// The two evaluation memos, each a [`Memo`]:
 ///
 /// * `cache` — whole formula → satisfaction set (the entry-point memo
 ///   keyed by the uncompiled AST, so facade callers skip compilation
@@ -52,30 +52,23 @@ use std::sync::Arc;
 ///   the set-level `K_i ⌜S⌝` / `Pr_i ≥ α ⌜S⌝` queries (quoted as
 ///   [`Term::Lit`] leaves). This replaced the separate
 ///   `(agent, set)`-keyed knows memo — one map means the structural
-///   and set-level caches cannot drift;
-/// * `pr` — `(space identity, sat set) → (μ_ic)⁎(sat)`, shared across
-///   sweeps, thresholds `α`, and formulas. Every entry one sweep files
-///   shares that sweep's one `Arc` of the set; keys hash and compare by
-///   value, so later sweeps over an equal set hit.
+///   and set-level caches cannot drift.
 ///
-/// `terms`/`pr` are optional because the differential suites prove
-/// memo invisibility by turning them off; the artifact always enables
-/// both.
+/// `terms` is optional because the differential suites prove memo
+/// invisibility by turning it off; the artifact always enables it.
 pub(crate) struct EvalMemos {
     pub(crate) cache: Memo<Formula, Arc<PointSet>>,
     pub(crate) terms: Option<Memo<TermId, Arc<PointSet>>>,
-    pub(crate) pr: Option<Memo<(usize, Arc<PointSet>), Rat>>,
 }
 
 impl EvalMemos {
-    /// Fresh, empty memos with the per-subterm and `Pr` memos each
-    /// enabled or disabled. The formula cache is always on (sharing
+    /// Fresh, empty memos with the per-subterm memo enabled or
+    /// disabled. The formula cache is always on (sharing
     /// satisfaction-set `Arc`s is part of the `sat` contract).
-    pub(crate) fn new(terms: bool, pr: bool) -> EvalMemos {
+    pub(crate) fn new(terms: bool) -> EvalMemos {
         EvalMemos {
             cache: Memo::new(),
             terms: terms.then(Memo::new),
-            pr: pr.then(Memo::new),
         }
     }
 }
@@ -85,7 +78,6 @@ impl std::fmt::Debug for EvalMemos {
         f.debug_struct("EvalMemos")
             .field("cache", &self.cache.len())
             .field("terms", &self.terms.as_ref().map(Memo::len))
-            .field("pr", &self.pr.as_ref().map(Memo::len))
             .finish()
     }
 }
@@ -292,9 +284,8 @@ impl EvalView<'_> {
 
     /// Answers the whole threshold family `Pr_agent ≥ α₁…α_k f` in one
     /// equivalence-class sweep: the body is evaluated once, each
-    /// distinct sample space's inner measure is computed once and
-    /// thresholded k times, and the k satisfaction sets come back in
-    /// `alphas` order. Every member is memoized exactly as if asked
+    /// class's inner measure is computed once and thresholded k times,
+    /// and the k satisfaction sets come back in `alphas` order. Every member is memoized exactly as if asked
     /// serially (formula cache + interned `Pr_i ≥ α ⌜S⌝` subterm), and
     /// the answers are bit-identical to k serial [`EvalView::sat`]
     /// calls — thresholding a class once per α against the same exact
@@ -352,7 +343,7 @@ impl EvalView<'_> {
     /// k = 1) [`EvalView::pr_ge_set`]. Like `K_i`, each threshold set is
     /// a union of whole classes: the plan's classes are visited in
     /// first-point order, each class's inner measure is computed once,
-    /// and the class's points are ORed word-wise into every set whose α
+    /// straight from its space's kernel, and the class's points are ORed word-wise into every set whose α
     /// it reaches. The points the plan leaves unplanned — or every
     /// point, with the plan off — then go one by one in ascending
     /// order, each distinct space measured once, so the first point
@@ -368,13 +359,12 @@ impl EvalView<'_> {
         let sys = self.sys;
         // One exact-footprint pass before the sweep: every class space
         // below measures this set through its footprint hint, so the
-        // tightest range multiplies across thousands of queries. The
-        // copy is shared by every `Pr`-memo key the sweep files.
-        let sat = &Arc::new({
+        // tightest range multiplies across thousands of queries.
+        let sat = &{
             let mut s = sat.clone();
             s.tighten_footprint();
             s
-        });
+        };
         // The artifact's plan slots are write-once, so the warm fetch
         // is a single atomic load.
         let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
@@ -383,7 +373,7 @@ impl EvalView<'_> {
         if let Some(plan) = &plan {
             for k in 0..plan.classes() {
                 let (space, pairs) = plan.class(k);
-                let inner = self.inner_of(space, sat);
+                let inner = space.inner_measure(sat);
                 for (acc, alpha) in out.iter_mut().zip(alphas) {
                     if inner >= *alpha {
                         acc.union_word_pairs(pairs);
@@ -398,7 +388,7 @@ impl EvalView<'_> {
             fallbacks += 1;
             let space = self.core.space(sys, agent, c)?;
             let verdicts = &*by_space.entry(Arc::as_ptr(&space)).or_insert_with(|| {
-                let inner = self.inner_of(&space, sat);
+                let inner = space.inner_measure(sat);
                 alphas.iter().map(|alpha| inner >= *alpha).collect()
             });
             for (acc, &ok) in out.iter_mut().zip(verdicts) {
@@ -483,7 +473,7 @@ impl EvalView<'_> {
 
     /// The raw `Prᵢ(S) ≥ α` class sweep behind [`EvalView::pr_ge_set`]:
     /// the one-threshold family sweep, bypassing the subterm memo (the
-    /// per-class `Pr` memo and the sample plan still apply).
+    /// sample plan still applies).
     fn pr_ge_one(
         &self,
         agent: AgentId,
@@ -491,27 +481,6 @@ impl EvalView<'_> {
         sat: &PointSet,
     ) -> Result<PointSet, LogicError> {
         Ok(self.family_sweep(agent, &[alpha], sat)?.swap_remove(0))
-    }
-
-    /// The inner measure of `sat` in `space`, through the per-class
-    /// memo when enabled. The memo key pairs the space cache `Arc`'s
-    /// address (stable for the life of the core — the space cache never
-    /// evicts) with the sat set, shared by `Arc` and compared by value.
-    /// Concurrent queries may compute the same measure once each before
-    /// one insert wins; the value is a pure function of the key, so
-    /// results are unaffected.
-    fn inner_of(&self, space: &Arc<DensePointSpace>, sat: &Arc<PointSet>) -> Rat {
-        let Some(memo) = &self.memos.pr else {
-            return space.inner_measure(&**sat);
-        };
-        let key = (Arc::as_ptr(space) as usize, Arc::clone(sat));
-        if let Some(hit) = memo.get(&key) {
-            kpa_trace::count!("logic.pr_memo_hit");
-            return hit;
-        }
-        kpa_trace::count!("logic.pr_memo_miss");
-        // Measured outside the lock.
-        memo.insert_or_get(key, space.inner_measure(&**sat))
     }
 
     /// `C_G φ` (`alpha` = `None`) or `C_G^α φ`: the greatest fixed
@@ -580,7 +549,7 @@ fn until(hold: &PointSet, goal: &PointSet) -> PointSet {
 
 /// An immutable, shareable model-checking artifact: one system + one
 /// sample-space assignment, with every derived structure — canonical
-/// spaces, batched [`SamplePlan`]s, and the three evaluation memos —
+/// spaces, batched [`SamplePlan`]s, and the two evaluation memos —
 /// owned by the artifact and guarded only by each memo's one lock.
 ///
 /// Build it once, wrap it in an [`Arc`], and hand clones to as many
@@ -648,7 +617,7 @@ impl ModelArtifact {
             sys,
             core,
             all,
-            memos: EvalMemos::new(true, true),
+            memos: EvalMemos::new(true),
             arena: FormulaArena::new(),
         }
     }
@@ -709,11 +678,6 @@ impl ModelArtifact {
                 acc + size_of::<(TermId, Arc<PointSet>)>() + set(s)
             });
         }
-        if let Some(pr) = &self.memos.pr {
-            bytes += pr.fold(0, |acc, (_, s), _| {
-                acc + size_of::<((usize, Arc<PointSet>), Rat)>() + set(s)
-            });
-        }
         bytes += self.terms_interned() * size_of::<(Term, TermId)>()
             + self.arena.lits().iter().map(set).sum::<usize>();
         bytes as u64
@@ -739,12 +703,6 @@ impl ModelArtifact {
     #[must_use]
     pub fn terms_interned(&self) -> usize {
         self.arena.len()
-    }
-
-    /// How many `(space, sat set)` entries the shared `Pr` memo holds.
-    #[must_use]
-    pub fn pr_memo_len(&self) -> usize {
-        self.memos.pr.as_ref().map_or(0, Memo::len)
     }
 
     /// How many per-agent sample plans have been built (all of them,
@@ -1059,18 +1017,15 @@ mod tests {
             (set_bytes..2 * set_bytes).contains(&grown),
             "{grown} B for one {set_bytes} B set"
         );
-        // One sweep files a `Pr`-memo entry per p1 space, every key
-        // sharing the sweep's one copy of the set. New sets: the quoted
-        // input, that copy, and the answer.
+        // A sweep over p1's 1,023 spaces adds the quoted input and the
+        // answer, with their memo entry and interned terms, and nothing
+        // per class.
         let before = artifact.approx_resident_bytes();
         ctx.pr_ge_set(AgentId(0), rat!(1 / 2), &heads).unwrap();
-        let entries = artifact.pr_memo_len() as u64;
-        assert_eq!(entries, 1023);
-        let entry = size_of::<((usize, Arc<PointSet>), Rat)>() as u64;
         let grown = artifact.approx_resident_bytes() - before;
         assert!(
-            grown < 4 * set_bytes + entries * entry,
-            "{grown} B for {entries} entries over 3 sets"
+            (2 * set_bytes..3 * set_bytes).contains(&grown),
+            "{grown} B for two {set_bytes} B sets"
         );
     }
 

@@ -75,10 +75,9 @@ pub struct Model<'a, 's> {
     pa: &'a ProbAssignment<'s>,
     all: Arc<PointSet>,
     /// Per-model memos (formula sat cache, unified per-subterm
-    /// memo, per-class `Pr` memo). Owning them per model — where the
-    /// artifact shares them across threads — is what gives the
-    /// differential suites memo-scoped observability
-    /// (`subterm_memo_len`, `pr_memo_len`).
+    /// memo). Owning them per model — where the artifact shares them
+    /// across threads — is what gives the differential suites
+    /// memo-scoped observability (`subterm_memo_len`).
     memos: EvalMemos,
     /// Per-model hash-consing arena for the compiled query DAG
     /// ([`Model::compile`], [`Model::sat_compiled`], and the interned
@@ -93,36 +92,37 @@ pub struct Model<'a, 's> {
 
 impl<'a, 's> Model<'a, 's> {
     /// Builds a model checker over the given probability assignment,
-    /// with the cross-formula `knows_set` and per-class `Pr` memos
-    /// enabled.
+    /// with the per-subterm memo and the sample plan enabled.
     #[must_use]
     pub fn new(pa: &'a ProbAssignment<'s>) -> Model<'a, 's> {
         Model::with_memos(pa, true, true, true)
     }
 
-    /// Builds a model checker with each memo explicitly on or off:
+    /// Builds a model checker with each knob explicitly on or off:
     /// `knows` gates the unified per-subterm satisfaction-set memo
     /// (covering both the compiled DAG and raw-set
-    /// `knows_set`/`pr_ge_set` queries), `pr` the
-    /// per-class inner-measure memo behind `pr_ge_set`, and `plan` the
-    /// per-agent batched [`kpa_assign::SamplePlan`] that replaces
-    /// per-point sample extraction with a sweep over its classes. All eight
-    /// combinations produce bit-identical satisfaction sets (pinned by
-    /// `tests/memo_consistency.rs`, the measure-kernel differential
-    /// suite, and `tests/plan_differential.rs`); the knobs exist for
-    /// differential testing and benches.
+    /// `knows_set`/`pr_ge_set` queries), and `plan` the per-agent
+    /// batched [`kpa_assign::SamplePlan`] that replaces per-point
+    /// sample extraction with a sweep over its classes. `pr` is
+    /// ignored: the per-class `Pr` memo it switched is deleted, since a
+    /// class costs less to measure than to look up. All four
+    /// combinations of `knows` and `plan` produce
+    /// bit-identical satisfaction sets (pinned by
+    /// `tests/memo_consistency.rs`, `tests/compile_differential.rs` and
+    /// `tests/plan_differential.rs`); the knobs exist for differential
+    /// testing and benches.
     #[must_use]
     pub fn with_memos(
         pa: &'a ProbAssignment<'s>,
         knows: bool,
-        pr: bool,
+        _pr: bool,
         plan: bool,
     ) -> Model<'a, 's> {
         let all = Arc::new(pa.system().full_points());
         Model {
             pa,
             all,
-            memos: EvalMemos::new(knows, pr),
+            memos: EvalMemos::new(knows),
             arena: FormulaArena::new(),
             plan,
         }
@@ -162,18 +162,6 @@ impl<'a, 's> Model<'a, 's> {
     #[must_use]
     pub fn terms_interned(&self) -> usize {
         self.arena.len()
-    }
-
-    /// Whether the per-class `Pr` inner-measure memo is enabled.
-    #[must_use]
-    pub fn pr_memo_enabled(&self) -> bool {
-        self.memos.pr.is_some()
-    }
-
-    /// How many `(space, sat set)` entries the `Pr` memo holds.
-    #[must_use]
-    pub fn pr_memo_len(&self) -> usize {
-        self.memos.pr.as_ref().map_or(0, |m| m.len())
     }
 
     /// Whether the per-agent sample plan is enabled.
@@ -273,17 +261,13 @@ impl<'a, 's> Model<'a, 's> {
     ///
     /// Uniform assignments repeat one space across each whole class;
     /// the measure query runs *once per distinct space*, not once per
-    /// point, and the model-level [`Model::pr_memo_enabled`] memo —
-    /// keyed by (space identity, sat set, shared by `Arc`) and valued by
-    /// the inner measure — shares the query across sweeps, thresholds
-    /// α, and formulas. When the sample plan is enabled the sweep visits
-    /// the agent's batched [`kpa_assign::SamplePlan`] a class at a time
-    /// (same `Arc`s as the naive path, so memo keys are unchanged) and
-    /// ORs each passing class's points into the set at once; points the
-    /// plan does not cover fall back to the per-point path in ascending
-    /// order, reproducing its exact errors. All of these cache pure
-    /// functions of their keys, so the set is bit-identical to the
-    /// memo-free, unplanned sweep.
+    /// point. When the sample plan is enabled the sweep visits the
+    /// agent's batched [`kpa_assign::SamplePlan`] a class at a time
+    /// (same `Arc`s as the naive path) and ORs each passing class's
+    /// points into the set at once; points the plan does not cover
+    /// fall back to the per-point path in ascending order, reproducing
+    /// its exact errors. The set is bit-identical to the unplanned
+    /// sweep.
     ///
     /// # Errors
     ///

@@ -1,17 +1,26 @@
-//! The dense measure kernel: word-masked block traces with
+//! The dense measure kernel: word-masked sample layouts with
 //! common-denominator integer accumulation.
 //!
 //! A [`crate::BlockSpace`] answers every measure query by walking its
 //! sample element-by-element through the [`crate::MemberSet`] vtable.
 //! When both the *sample* and the *queried set* live in one dense bit
 //! layout (the `PointSet` of `kpa-system`, exposed through
-//! [`crate::MemberSet::member_words`]), each block trace can instead be
-//! precomputed once as a word mask, and the per-query block scan
-//! collapses to word-wise tests:
+//! [`crate::MemberSet::member_words`]), the sample can instead be laid
+//! out once as word masks, and a query collapses to word-wise tests.
+//! A kernel holds one of two layouts, picked at build time from the
+//! space's own blocks:
 //!
-//! * block `b` is **inside** `set` iff `trace_b & set == trace_b`
-//!   (subset test, one AND + compare per word);
-//! * block `b` is **touched** by `set` iff `trace_b & set != 0`.
+//! * **Blocks.** Each block's trace is a word mask; block `b` is
+//!   **inside** `set` iff `trace_b & set == trace_b` (subset test, one
+//!   AND + compare per word) and **touched** by `set` iff
+//!   `trace_b & set != 0`.
+//! * **Points.** When every block is a single point (the sample holds
+//!   at most one point per run, as every agent with a clock sees under
+//!   the canonical assignments), no block can be straddled: every set
+//!   is measurable, inner = outer, and the measure is a weighted count
+//!   of the set's points in the sample. The kernel keeps only the
+//!   points, as word-sparse `(word, bits)` pairs grouped by block
+//!   weight, and a query is `Σ_g n_g · Σ popcount(bits & set[word])`.
 //!
 //! Weights are likewise precomputed: every block weight `w_b = n_b / D`
 //! is expressed over one common denominator `D` (the lcm of the block
@@ -26,7 +35,10 @@
 //! kernel computes `Rat::new(Σ_{b inside} n_b, Σ_b n_b)`. These are the
 //! same rational number (the `D`s cancel), hence the same canonical
 //! `Rat` — the differential suite pins this across the random-system
-//! sweep.
+//! sweep. In the points layout a single-point block is inside the set
+//! iff its bit is set, so the group sums add up the same integer the
+//! block scan accumulates, and no partial sum can overflow: it is at
+//! most `Σ_b n_b ≤ i128::MAX`.
 //!
 //! Construction returns `None` (callers fall back to the generic scan)
 //! if the element→bit mapping is not injective or the common-denominator
@@ -41,54 +53,86 @@
 //! [`crate::MemberSet::member_footprint`]): a conservative global word
 //! range outside which the queried set is all-zero. Blocks whose word
 //! span misses the hint are skipped without scanning — their answer is
-//! `(inside = false, touched = false)` by construction. The
+//! `(inside = false, touched = false)` by construction — and the points
+//! layout counts only the pairs whose word lies inside the hint. The
 //! `measure.wide_blocks` counter books the blocks actually scanned, so
 //! a traced run shows both that the wide path ran and how many blocks
-//! the footprint skipped (the gap to `blocks × queries`).
+//! the footprint skipped (the gap to `blocks × queries`), and
+//! `measure.point_query` books the queries the points layout answered.
 
 use crate::rat::gcd_u128;
 use crate::{BlockSpace, MeasureError, Rat};
 
 /// A precomputed word-mask kernel for one [`BlockSpace`].
 ///
-/// Holds each block's trace mask over only the words the block
-/// occupies, packed into one arena, plus the common-denominator weight
-/// table. All queries take the queried set's raw words (from
-/// [`crate::MemberSet::member_words`]) and never touch the element
-/// vtable.
+/// Holds the sample in one of two layouts (see the module docs) plus
+/// the common-denominator weights. All queries take the queried set's
+/// raw words (from [`crate::MemberSet::member_words`]) and never touch
+/// the element vtable.
 ///
 /// # Memory
 ///
-/// A block costs its footprint words plus a fixed 32 bytes (word range,
-/// arena offset, weight numerator), whatever the width of the span the
-/// sample covers: under `post` a block is one run's few points, about
-/// one word, however far apart the blocks lie. See
-/// [`DenseKernel::heap_bytes`].
+/// In the blocks layout a block costs its footprint words plus a fixed
+/// 32 bytes (word range, arena offset, weight numerator), whatever the
+/// width of the span the sample covers. In the points layout a point
+/// costs at most one 12-byte `(word, bits)` pair, shared with the other
+/// points of its word and weight, plus 20 bytes per distinct weight, so
+/// at most 32 bytes where its block would cost 40.
+/// See [`DenseKernel::heap_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseKernel {
     /// Index of the first word of the span in the global word layout.
     first_word: usize,
     /// Width of the span in words.
     span_words: usize,
-    /// Footprint-only block traces, back to back: block `b` owns
-    /// `traces[trace_at[b] .. trace_at[b] + (hi − lo)]`, the span words
-    /// `[lo, hi)` of `block_span[b]`.
+    /// The sample, as block traces or as weighted points.
+    layout: Layout,
+    /// Σ of the block weight numerators — the normalizer; fits `i128`
+    /// by construction.
+    total_num: u128,
+    /// The words a query scans at most: the blocks layout's trace
+    /// arena length, or the points layout's pair count. Computed once
+    /// here so tracing a query costs one counter add.
+    footprint_words: u64,
+}
+
+/// The two ways a kernel holds its sample.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Layout {
+    /// Per-block traces: the only layout that can answer a space with
+    /// a multi-point block.
+    Blocks(Blocks),
+    /// Every block is one point: the points, grouped by weight.
+    Points(Points),
+}
+
+/// Footprint-only block traces, back to back: block `b` owns
+/// `traces[trace_at[b] .. trace_at[b] + (hi − lo)]`, the span words
+/// `[lo, hi)` of `span[b]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Blocks {
     traces: Vec<u64>,
     /// Per-block nonzero word sub-range `[lo, hi)` within the span:
     /// scans touch only the words a block actually occupies, so a query
     /// costs `O(Σ_b footprint_b)` words, not `O(blocks × span)`.
-    block_span: Vec<(u32, u32)>,
+    span: Vec<(u32, u32)>,
     /// Arena offset of each block's first trace word.
     trace_at: Vec<usize>,
     /// Block weight numerators over the common denominator.
     weight_num: Vec<u128>,
-    /// Σ `weight_num` — the normalizer; fits `i128` by construction.
-    total_num: u128,
-    /// Σ over blocks of the nonzero trace footprint, in words — the
-    /// per-query word budget (scans may early-exit below it) and the
-    /// arena length. Computed once here so tracing a query costs one
-    /// counter add, not a pass over `block_span`.
-    footprint_words: u64,
+}
+
+/// A single-point sample as word-sparse pairs grouped by block weight:
+/// group `g` holds the points of weight numerator `weight_num[g]`, as
+/// the pairs `[group_end[g − 1], group_end[g])` (from 0 for the first
+/// group), each a span-relative word in `words` and its bits in `bits`,
+/// in ascending word order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Points {
+    weight_num: Vec<u128>,
+    group_end: Vec<u32>,
+    words: Vec<u32>,
+    bits: Vec<u64>,
 }
 
 #[inline]
@@ -188,9 +232,140 @@ fn trace_touches(trace: &[u64], words: &[u64], base: usize) -> bool {
     false
 }
 
+impl Blocks {
+    /// Lays each block's footprint out back to back, then sets the
+    /// bits. `bits` are the sample's span-relative bit indices.
+    fn new(bits: &[usize], block_of: &[usize], weight_num: Vec<u128>) -> Blocks {
+        let mut span = vec![(u32::MAX, 0u32); weight_num.len()];
+        for (i, &bit) in bits.iter().enumerate() {
+            let w = (bit / 64) as u32;
+            let (lo, hi) = &mut span[block_of[i]];
+            *lo = (*lo).min(w);
+            *hi = (*hi).max(w + 1);
+        }
+        let mut trace_at = Vec::with_capacity(span.len());
+        let mut footprint = 0usize;
+        for &(lo, hi) in &span {
+            trace_at.push(footprint);
+            footprint += (hi - lo) as usize;
+        }
+        let mut traces = vec![0u64; footprint];
+        for (i, &bit) in bits.iter().enumerate() {
+            let b = block_of[i];
+            let w = bit / 64 - span[b].0 as usize;
+            traces[trace_at[b] + w] |= 1u64 << (bit % 64);
+        }
+        Blocks {
+            traces,
+            span,
+            trace_at,
+            weight_num,
+        }
+    }
+
+    /// The nonzero words of block `b`'s trace and the span offset of the
+    /// first: only the words a block actually occupies are stored, and
+    /// only those are scanned.
+    #[inline]
+    fn trace_of(&self, b: usize) -> (usize, &[u64]) {
+        let (lo, hi) = self.span[b];
+        let at = self.trace_at[b];
+        (lo as usize, &self.traces[at..at + (hi - lo) as usize])
+    }
+}
+
+impl Points {
+    /// Groups the sample's points by their block's weight numerator.
+    /// `bits` are span-relative bit indices; every block is one point,
+    /// so `block_of` is a bijection onto `weight_num`.
+    fn new(bits: &[usize], block_of: &[usize], weight_num: &[u128]) -> Points {
+        let mut keyed: Vec<(u128, usize)> = bits
+            .iter()
+            .zip(block_of)
+            .map(|(&bit, &b)| (weight_num[b], bit))
+            .collect();
+        // A sample arrives in point order, which is bit order, so with
+        // one weight (the usual case) this sort only confirms it.
+        keyed.sort_unstable();
+        // Groups and pairs are counted first, so each table is
+        // allocated once at its exact size.
+        let new_group = |i: usize| i == 0 || keyed[i].0 != keyed[i - 1].0;
+        let new_pair = |i: usize| new_group(i) || keyed[i].1 / 64 != keyed[i - 1].1 / 64;
+        let groups = (0..keyed.len()).filter(|&i| new_group(i)).count();
+        let pairs = (0..keyed.len()).filter(|&i| new_pair(i)).count();
+        let mut points = Points {
+            weight_num: Vec::with_capacity(groups),
+            group_end: Vec::with_capacity(groups),
+            words: Vec::with_capacity(pairs),
+            bits: Vec::with_capacity(pairs),
+        };
+        for (i, &(n, bit)) in keyed.iter().enumerate() {
+            if new_group(i) {
+                points.weight_num.push(n);
+                points.group_end.push(0);
+            }
+            if new_pair(i) {
+                points.words.push((bit / 64) as u32);
+                points.bits.push(0);
+            }
+            *points.bits.last_mut().expect("a pair per point") |= 1u64 << (bit % 64);
+            *points.group_end.last_mut().expect("a group per point") = points.words.len() as u32;
+        }
+        points
+    }
+
+    /// `Σ_g n_g · |group g ∩ set|`: the weight numerator of the sample
+    /// points in the set. With a footprint hint, only the pairs whose
+    /// global word lies inside it are read (each group's words ascend,
+    /// so the range is two binary searches).
+    fn weight_in(&self, first_word: usize, words: &[u64], hint: Option<(usize, usize)>) -> u128 {
+        let mut num: u128 = 0;
+        let mut start = 0;
+        for (&n, &end) in self.weight_num.iter().zip(&self.group_end) {
+            let end = end as usize;
+            let ws = &self.words[start..end];
+            let (lo, hi) = match hint {
+                Some((qlo, qhi)) => (
+                    ws.partition_point(|&w| first_word + (w as usize) < qlo),
+                    ws.partition_point(|&w| first_word + (w as usize) < qhi),
+                ),
+                None => (0, ws.len()),
+            };
+            let mut count = 0u64;
+            for (&w, &b) in ws[lo..hi].iter().zip(&self.bits[start + lo..start + hi]) {
+                count += u64::from((b & word_at(words, first_word + w as usize)).count_ones());
+            }
+            num += n * u128::from(count);
+            start = end;
+        }
+        num
+    }
+}
+
+/// Each block weight as a numerator over the lcm `D` of the weight
+/// denominators, and their sum; `None` when `D`, a numerator or the
+/// sum passes `i128::MAX`.
+fn weight_table(block_weight: &[Rat]) -> Option<(Vec<u128>, u128)> {
+    let mut denom: u128 = 1;
+    for w in block_weight {
+        let d = w.denom() as u128;
+        denom = denom.checked_mul(d / gcd_u128(denom, d))?;
+    }
+    let mut weight_num = Vec::with_capacity(block_weight.len());
+    let mut total_num: u128 = 0;
+    for w in block_weight {
+        // Block weights are strictly positive by construction.
+        let n = (w.numer() as u128).checked_mul(denom / w.denom() as u128)?;
+        total_num = total_num.checked_add(n)?;
+        weight_num.push(n);
+    }
+    (total_num <= i128::MAX as u128).then_some((weight_num, total_num))
+}
+
 impl DenseKernel {
     /// Builds the kernel for `space`, mapping each sample element to its
-    /// dense bit index via `bit_of`.
+    /// dense bit index via `bit_of`. A space whose blocks are all single
+    /// points gets the points layout, any other the blocks layout.
     ///
     /// The mapping must agree with the word layout of the sets that will
     /// be queried (bit `i` of word `i / 64` ⇔ dense index `i`). Returns
@@ -219,83 +394,45 @@ impl DenseKernel {
         let first_word = min_bit / 64;
         let span_words = max_bit / 64 - first_word + 1;
 
-        // Pass 1: each block's word range, and the injectivity check
-        // against the sample's bits (a scratch mask over the span).
-        let block_count = space.block_weight.len();
+        // The injectivity check, against a scratch mask over the span;
+        // from here on bits are span-relative.
         let mut sample = vec![0u64; span_words];
-        let mut block_span = vec![(u32::MAX, 0u32); block_count];
-        for (i, &bit) in bits.iter().enumerate() {
-            let w = bit / 64 - first_word;
-            let mask = 1u64 << (bit % 64);
+        for bit in &mut bits {
+            *bit -= first_word * 64;
+            let (w, mask) = (*bit / 64, 1u64 << (*bit % 64));
             if sample[w] & mask != 0 {
                 kpa_trace::count!("measure.kernel_reject_lossy");
                 return None; // non-injective layout
             }
             sample[w] |= mask;
-            let (lo, hi) = &mut block_span[space.block_of[i]];
-            *lo = (*lo).min(w as u32);
-            *hi = (*hi).max(w as u32 + 1);
         }
         drop(sample);
 
-        // Pass 2: lay the footprints back to back, then set the bits.
-        let mut trace_at = Vec::with_capacity(block_count);
-        let mut footprint = 0usize;
-        for &(lo, hi) in &block_span {
-            trace_at.push(footprint);
-            footprint += (hi - lo) as usize;
-        }
-        let mut traces = vec![0u64; footprint];
-        for (i, &bit) in bits.iter().enumerate() {
-            let b = space.block_of[i];
-            let w = bit / 64 - first_word - block_span[b].0 as usize;
-            traces[trace_at[b] + w] |= 1u64 << (bit % 64);
-        }
-
-        // Common denominator D = lcm of the block weight denominators.
-        // Overflow anywhere in the table ⇒ fall back to the generic
-        // scan (counted, so the bench can prove the dense path ran).
-        let reject_overflow = || {
+        // Overflow anywhere in the weight table ⇒ fall back to the
+        // generic scan (counted, so the bench can prove the dense path
+        // ran).
+        let Some((weight_num, total_num)) = weight_table(&space.block_weight) else {
             kpa_trace::count!("measure.kernel_reject_overflow");
-        };
-        let mut denom: u128 = 1;
-        for w in &space.block_weight {
-            let d = w.denom() as u128;
-            let g = gcd_u128(denom, d);
-            let Some(next) = denom.checked_mul(d / g) else {
-                reject_overflow();
-                return None;
-            };
-            denom = next;
-        }
-        let mut weight_num = Vec::with_capacity(block_count);
-        let mut total_num: u128 = 0;
-        for w in &space.block_weight {
-            // Block weights are strictly positive by construction.
-            let scaled = (w.numer() as u128)
-                .checked_mul(denom / w.denom() as u128)
-                .and_then(|n| total_num.checked_add(n).map(|t| (n, t)));
-            let Some((n, t)) = scaled else {
-                reject_overflow();
-                return None;
-            };
-            total_num = t;
-            weight_num.push(n);
-        }
-        if total_num > i128::MAX as u128 {
-            reject_overflow();
             return None;
-        }
-        let footprint_words = footprint as u64;
+        };
+        // Blocks partition the sample and none is empty, so as many
+        // blocks as elements means every block is one point.
+        let (layout, footprint_words) = if weight_num.len() == bits.len() {
+            let points = Points::new(&bits, &space.block_of, &weight_num);
+            let pairs = points.words.len();
+            (Layout::Points(points), pairs)
+        } else {
+            let blocks = Blocks::new(&bits, &space.block_of, weight_num);
+            let footprint = blocks.traces.len();
+            (Layout::Blocks(blocks), footprint)
+        };
+        let footprint_words = footprint_words as u64;
         kpa_trace::count!("measure.kernel_built");
         kpa_trace::record!("measure.kernel_footprint_words", footprint_words);
         Some(DenseKernel {
             first_word,
             span_words,
-            traces,
-            block_span,
-            trace_at,
-            weight_num,
+            layout,
             total_num,
             footprint_words,
         })
@@ -304,7 +441,10 @@ impl DenseKernel {
     /// The number of blocks the kernel covers.
     #[must_use]
     pub fn block_count(&self) -> usize {
-        self.weight_num.len()
+        match &self.layout {
+            Layout::Blocks(b) => b.weight_num.len(),
+            Layout::Points(p) => p.bits.iter().map(|b| b.count_ones() as usize).sum(),
+        }
     }
 
     /// The word span `[first_word, first_word + span_words)` the sample
@@ -314,33 +454,25 @@ impl DenseKernel {
         (self.first_word, self.span_words)
     }
 
-    /// Heap bytes the kernel holds: the footprint-only trace arena plus
-    /// a fixed 32 bytes per block, independent of the span width.
+    /// Heap bytes the kernel holds, for the one layout it holds: the
+    /// footprint-only trace arena plus a fixed 32 bytes per block, or
+    /// the weighted `(word, bits)` pairs. Neither depends on the span
+    /// width.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.traces.capacity() * size_of::<u64>()
-            + self.block_span.capacity() * size_of::<(u32, u32)>()
-            + self.trace_at.capacity() * size_of::<usize>()
-            + self.weight_num.capacity() * size_of::<u128>()
-    }
-
-    /// The nonzero words of block `b`'s trace and the span offset of the
-    /// first: only the words a block actually occupies are stored, and
-    /// only those are scanned.
-    #[inline]
-    fn trace_of(&self, b: usize) -> (usize, &[u64]) {
-        let (lo, hi) = self.block_span[b];
-        let at = self.trace_at[b];
-        (lo as usize, &self.traces[at..at + (hi - lo) as usize])
-    }
-
-    /// Scans block `b` against the set's words: `(inside, touched)`,
-    /// via the 4×u64-wide [`scan_trace`] over the block's non-zero
-    /// word sub-range.
-    #[inline]
-    fn scan(&self, b: usize, words: &[u64]) -> (bool, bool) {
-        let (lo, trace) = self.trace_of(b);
-        scan_trace(trace, words, self.first_word + lo)
+        match &self.layout {
+            Layout::Blocks(b) => {
+                b.traces.capacity() * size_of::<u64>()
+                    + b.span.capacity() * size_of::<(u32, u32)>()
+                    + b.trace_at.capacity() * size_of::<usize>()
+                    + b.weight_num.capacity() * size_of::<u128>()
+            }
+            Layout::Points(p) => {
+                p.weight_num.capacity() * size_of::<u128>()
+                    + (p.group_end.capacity() + p.words.capacity()) * size_of::<u32>()
+                    + p.bits.capacity() * size_of::<u64>()
+            }
+        }
     }
 
     /// Whether block `b` cannot intersect a set whose non-zero words
@@ -350,24 +482,37 @@ impl DenseKernel {
     /// non-empty, and the set is zero across all of it — so queries
     /// skip the scan entirely.
     #[inline]
-    fn block_misses(&self, b: usize, hint: Option<(usize, usize)>) -> bool {
+    fn block_misses(&self, blocks: &Blocks, b: usize, hint: Option<(usize, usize)>) -> bool {
         match hint {
             Some((qlo, qhi)) => {
-                let (lo, hi) = self.block_span[b];
+                let (lo, hi) = blocks.span[b];
                 self.first_word + (hi as usize) <= qlo || self.first_word + (lo as usize) >= qhi
             }
             None => false,
         }
     }
 
+    /// Scans block `b` against the set's words: `(inside, touched)`,
+    /// via the 4×u64-wide [`scan_trace`] over the block's non-zero
+    /// word sub-range.
+    #[inline]
+    fn scan(&self, blocks: &Blocks, b: usize, words: &[u64]) -> (bool, bool) {
+        let (lo, trace) = blocks.trace_of(b);
+        scan_trace(trace, words, self.first_word + lo)
+    }
+
     /// Trace hook shared by the five query entry points: one query
     /// counter plus the precomputed word footprint (an upper bound on
-    /// words scanned; scans may early-exit). Two relaxed loads when
-    /// tracing is off — never a pass over the traces.
+    /// words scanned; scans may early-exit), and one more counter when
+    /// the points layout answers. A few relaxed loads when tracing is
+    /// off — never a pass over the layout.
     #[inline]
     fn trace_query(&self) {
         kpa_trace::count!("measure.dense_query");
         kpa_trace::count!("measure.kernel_words", self.footprint_words);
+        if let Layout::Points(_) = self.layout {
+            kpa_trace::count!("measure.point_query");
+        }
     }
 
     /// Converts an accumulated numerator to the exact probability.
@@ -410,20 +555,24 @@ impl DenseKernel {
         hint: Option<(usize, usize)>,
     ) -> Result<Rat, MeasureError> {
         self.trace_query();
+        let blocks = match &self.layout {
+            Layout::Points(p) => return Ok(self.ratio(p.weight_in(self.first_word, words, hint))),
+            Layout::Blocks(b) => b,
+        };
         let mut num: u128 = 0;
         let mut scanned = 0u64;
-        for b in 0..self.block_count() {
-            if self.block_misses(b, hint) {
+        for b in 0..blocks.weight_num.len() {
+            if self.block_misses(blocks, b, hint) {
                 continue;
             }
             scanned += 1;
-            let (inside, touched) = self.scan(b, words);
+            let (inside, touched) = self.scan(blocks, b, words);
             if touched && !inside {
                 Self::trace_scanned(scanned);
                 return Err(MeasureError::NonMeasurable);
             }
             if inside {
-                num += self.weight_num[b];
+                num += blocks.weight_num[b];
             }
         }
         Self::trace_scanned(scanned);
@@ -440,16 +589,20 @@ impl DenseKernel {
     #[must_use]
     pub fn inner_measure_words_in(&self, words: &[u64], hint: Option<(usize, usize)>) -> Rat {
         self.trace_query();
+        let blocks = match &self.layout {
+            Layout::Points(p) => return self.ratio(p.weight_in(self.first_word, words, hint)),
+            Layout::Blocks(b) => b,
+        };
         let mut num: u128 = 0;
         let mut scanned = 0u64;
-        for b in 0..self.block_count() {
-            if self.block_misses(b, hint) {
+        for b in 0..blocks.weight_num.len() {
+            if self.block_misses(blocks, b, hint) {
                 continue;
             }
             scanned += 1;
-            let (lo, trace) = self.trace_of(b);
+            let (lo, trace) = blocks.trace_of(b);
             if trace_subset(trace, words, self.first_word + lo) {
-                num += self.weight_num[b];
+                num += blocks.weight_num[b];
             }
         }
         Self::trace_scanned(scanned);
@@ -466,16 +619,20 @@ impl DenseKernel {
     #[must_use]
     pub fn outer_measure_words_in(&self, words: &[u64], hint: Option<(usize, usize)>) -> Rat {
         self.trace_query();
+        let blocks = match &self.layout {
+            Layout::Points(p) => return self.ratio(p.weight_in(self.first_word, words, hint)),
+            Layout::Blocks(b) => b,
+        };
         let mut num: u128 = 0;
         let mut scanned = 0u64;
-        for b in 0..self.block_count() {
-            if self.block_misses(b, hint) {
+        for b in 0..blocks.weight_num.len() {
+            if self.block_misses(blocks, b, hint) {
                 continue;
             }
             scanned += 1;
-            let (lo, trace) = self.trace_of(b);
+            let (lo, trace) = blocks.trace_of(b);
             if trace_touches(trace, words, self.first_word + lo) {
-                num += self.weight_num[b];
+                num += blocks.weight_num[b];
             }
         }
         Self::trace_scanned(scanned);
@@ -483,7 +640,7 @@ impl DenseKernel {
     }
 
     /// Word-wise fused [`BlockSpace::measure_interval`]: one pass over
-    /// the traces accumulates both bounds.
+    /// the layout accumulates both bounds.
     #[must_use]
     pub fn measure_interval_words(&self, words: &[u64]) -> (Rat, Rat) {
         self.measure_interval_words_in(words, None)
@@ -498,27 +655,35 @@ impl DenseKernel {
         hint: Option<(usize, usize)>,
     ) -> (Rat, Rat) {
         self.trace_query();
+        let blocks = match &self.layout {
+            Layout::Points(p) => {
+                let mu = self.ratio(p.weight_in(self.first_word, words, hint));
+                return (mu, mu);
+            }
+            Layout::Blocks(b) => b,
+        };
         let mut lo: u128 = 0;
         let mut hi: u128 = 0;
         let mut scanned = 0u64;
-        for b in 0..self.block_count() {
-            if self.block_misses(b, hint) {
+        for b in 0..blocks.weight_num.len() {
+            if self.block_misses(blocks, b, hint) {
                 continue;
             }
             scanned += 1;
-            let (inside, touched) = self.scan(b, words);
+            let (inside, touched) = self.scan(blocks, b, words);
             if inside {
-                lo += self.weight_num[b];
+                lo += blocks.weight_num[b];
             }
             if touched {
-                hi += self.weight_num[b];
+                hi += blocks.weight_num[b];
             }
         }
         Self::trace_scanned(scanned);
         (self.ratio(lo), self.ratio(hi))
     }
 
-    /// Word-wise [`BlockSpace::is_measurable`].
+    /// Word-wise [`BlockSpace::is_measurable`]: always true in the
+    /// points layout.
     #[must_use]
     pub fn is_measurable_words(&self, words: &[u64]) -> bool {
         self.is_measurable_words_in(words, None)
@@ -530,14 +695,17 @@ impl DenseKernel {
     #[must_use]
     pub fn is_measurable_words_in(&self, words: &[u64], hint: Option<(usize, usize)>) -> bool {
         self.trace_query();
+        let Layout::Blocks(blocks) = &self.layout else {
+            return true;
+        };
         let mut scanned = 0u64;
         let mut ok = true;
-        for b in 0..self.block_count() {
-            if self.block_misses(b, hint) {
+        for b in 0..blocks.weight_num.len() {
+            if self.block_misses(blocks, b, hint) {
                 continue;
             }
             scanned += 1;
-            let (inside, touched) = self.scan(b, words);
+            let (inside, touched) = self.scan(blocks, b, words);
             if inside != touched {
                 ok = false;
                 break;
@@ -794,6 +962,66 @@ mod tests {
             kernel.heap_bytes()
         );
         assert!(kernel.heap_bytes() >= 8 * kernel.footprint_words as usize);
+    }
+
+    /// Twelve single-point blocks over words 2–6 (word 5 empty), with
+    /// four distinct weights interleaved within and across words.
+    fn single_points() -> (BlockSpace<u32>, DenseKernel) {
+        let elems = [
+            130u32, 131, 140, 191, 192, 200, 255, 260, 300, 400, 401, 447,
+        ];
+        let weights = [rat!(1 / 2), rat!(1 / 3), rat!(1 / 12), rat!(1 / 7)];
+        let space = BlockSpace::new(elems.map(|e| (e, e)), |&e| {
+            weights[elems.iter().position(|&x| x == e).unwrap() % 4]
+        })
+        .unwrap();
+        let kernel = DenseKernel::from_space(&space, |&e| Some(e as usize)).unwrap();
+        (space, kernel)
+    }
+
+    #[test]
+    fn single_point_layout_matches_generic() {
+        let (space, kernel) = single_points();
+        let Layout::Points(points) = &kernel.layout else {
+            panic!("a space of single-point blocks must take the points layout");
+        };
+        assert_eq!(points.weight_num.len(), 4);
+        assert_eq!(kernel.word_span(), (2, 5));
+        assert_eq!(kernel.block_count(), 12);
+        let sample = &space.elems;
+        for mask in 0u32..1 << sample.len() {
+            let set: BTreeSet<u32> = (0..sample.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| sample[i])
+                .collect();
+            let words = words_of(&set);
+            let tight = match words.iter().position(|&w| w != 0) {
+                None => (0, 0),
+                Some(l) => (l, words.iter().rposition(|&w| w != 0).unwrap() + 1),
+            };
+            for hint in [Some(tight), Some((0, 1000)), None] {
+                assert_eq!(kernel.measure_words_in(&words, hint), space.measure(&set));
+                assert_eq!(
+                    kernel.inner_measure_words_in(&words, hint),
+                    space.inner_measure(&set)
+                );
+                assert_eq!(
+                    kernel.outer_measure_words_in(&words, hint),
+                    space.outer_measure(&set)
+                );
+                assert_eq!(
+                    kernel.measure_interval_words_in(&words, hint),
+                    space.measure_interval(&set)
+                );
+                assert_eq!(
+                    kernel.is_measurable_words_in(&words, hint),
+                    space.is_measurable(&set)
+                );
+            }
+        }
+        // One pair per occupied (word, weight), far below the blocks
+        // layout's 32 B per block.
+        assert!(kernel.heap_bytes() < 32 * kernel.block_count());
     }
 
     #[test]

@@ -50,9 +50,8 @@
 //!
 //! `layer.noun[_qualifier]`, dot-separated layers, snake-case leaves:
 //! `logic.knows_scan`, `measure.dense_query`, `assign.space_cache_hit`,
-//! `logic.pr_memo_hit`, `betting.class_sweep`. Histograms carry a
-//! unit suffix (`_ns` for nanoseconds, `_len`/`_size` for element
-//! counts). DESIGN.md §3.2e is the canonical registry of names.
+//! `betting.class_sweep`. Histograms carry a unit suffix (`_ns` for
+//! nanoseconds, `_len`/`_size` for element counts). DESIGN.md §3.2e is the canonical registry of names.
 //!
 //! ## Scoped metrics
 //!

@@ -92,6 +92,7 @@ PROFILES = {
         "asserted": {
             "sat_bitset_vs_btreeset": 2.0,
             "measure_dense_vs_generic": 2.0,
+            "measure_points_vs_generic": 2.0,
             "pr_ge_plan_on_vs_off": 2.0,
         },
         "positive": set(),
@@ -170,10 +171,10 @@ TRACE_SCHEMA_VERSION = 2
 HIT_RATE_SLACK = 0.10
 
 # --trace mode: counters that must be present and positive in the fresh
-# report's global counter map — each proves a PR 1-4/8/9 fast path
-# actually ran (dense measure kernel, kernel construction, planned Pr
-# sweep, space cache, hash-consed formula arena, footprint-
-# skipping set ops, wide block scans).
+# report's global counter map — each proves a fast path actually ran
+# (dense measure kernel, kernel construction, planned Pr sweep, space
+# cache, hash-consed formula arena, footprint-skipping set ops, wide
+# block scans, the single-point popcount layout).
 TRACE_REQUIRED_POSITIVE = (
     "measure.dense_query",
     "measure.kernel_built",
@@ -182,6 +183,7 @@ TRACE_REQUIRED_POSITIVE = (
     "logic.terms_interned",
     "system.footprint_skipped_words",
     "measure.wide_blocks",
+    "measure.point_query",
 )
 
 # --trace mode: the bench row whose counters carry the planned sweep

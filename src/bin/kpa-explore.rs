@@ -224,10 +224,9 @@ fn run_shared(
     }
     println!(
         "shared:     {clients} threads × 1 artifact agreed with the serial model \
-         (sat cache: {} formulas, knows memo: {}, Pr memo: {}, plans: {})",
+         (sat cache: {} formulas, knows memo: {}, plans: {})",
         artifact.sat_cache_len(),
         artifact.subterm_memo_len(),
-        artifact.pr_memo_len(),
         artifact.plans_built(),
     );
     if let Some(before) = before {
@@ -244,7 +243,6 @@ fn run_shared(
                 "logic.subterm_memo.hit",
                 "logic.subterm_memo.miss",
             ),
-            ("logic.pr_memo", "logic.pr_memo_hit", "logic.pr_memo_miss"),
         ] {
             println!("  {memo}: {} hits, {} misses", count(hit), count(miss));
         }

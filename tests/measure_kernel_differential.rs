@@ -6,19 +6,20 @@
 //!
 //! The sweep runs the paper's walkthrough systems plus machine-generated
 //! synchronous and asynchronous systems (`--features fuzz` widens it),
-//! and queries every canonical assignment's spaces. A final section
-//! pins that the per-class `Pr` memo of `Model` is observationally
-//! invisible.
+//! and queries every canonical assignment's spaces. It counts the
+//! spaces whose blocks are all single points (the kernel's points
+//! layout) and the others (block traces), and asserts that the
+//! asynchronous sweep meets both, so both layouts stay pinned.
 
 mod common;
 
-use common::{arb_async_spec, arb_sync_spec, build, cases, cases_sharded, prop_names};
+use common::{arb_async_spec, arb_sync_spec, build, cases_sharded, prop_names};
 use kpa::assign::{Assignment, DensePointSpace, ProbAssignment};
-use kpa::logic::{Formula, Model};
 use kpa::measure::{rat, MeasureError, Rat, Rng64};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, PointId, PointSet, System};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One space/set comparison: the dense dispatching queries against the
 /// generic scans, with the set routed through `BTreeSet` on the generic
@@ -86,11 +87,39 @@ fn query_sets(sys: &System, props: &[String], rng: &mut Rng64) -> Vec<PointSet> 
     sets
 }
 
+/// How many of the spaces a sweep checked hold one point per block
+/// (the kernel's points layout) and how many hold a multi-point block
+/// (block traces).
+#[derive(Debug, Default)]
+struct Layouts {
+    single_point: AtomicUsize,
+    multi_point: AtomicUsize,
+}
+
+impl Layouts {
+    fn count(&self, space: &DensePointSpace) {
+        let kind = if space.len() == space.block_count() {
+            &self.single_point
+        } else {
+            &self.multi_point
+        };
+        kind.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn seen(&self) -> (usize, usize) {
+        (
+            self.single_point.load(Ordering::Relaxed),
+            self.multi_point.load(Ordering::Relaxed),
+        )
+    }
+}
+
 /// Sweeps every canonical assignment, agent, and point of `sys`,
 /// asserting kernel/generic agreement on every query set — and that the
 /// assignment-level queries (`prob`, `inner`, `outer`, `interval`,
-/// `known_interval`) match what the spaces say.
-fn sweep_system(sys: &System, props: &[String], rng: &mut Rng64) {
+/// `known_interval`) match what the spaces say. Each space checked is
+/// counted into `layouts`.
+fn sweep_system(sys: &System, props: &[String], rng: &mut Rng64, layouts: &Layouts) {
     let agents: Vec<AgentId> = (0..sys.agent_count()).map(AgentId).collect();
     let mut assignments = vec![Assignment::post(), Assignment::fut(), Assignment::prior()];
     assignments.extend(agents.iter().map(|&j| Assignment::opp(j)));
@@ -105,6 +134,7 @@ fn sweep_system(sys: &System, props: &[String], rng: &mut Rng64) {
                     space.has_kernel(),
                     "paper-system spaces always admit a kernel"
                 );
+                layouts.count(&space);
                 for phi in &sets {
                     assert_kernel_agrees(&space, phi);
 
@@ -146,35 +176,58 @@ fn sweep_system(sys: &System, props: &[String], rng: &mut Rng64) {
 #[test]
 fn kernel_matches_generic_on_walkthrough_systems() {
     let mut rng = Rng64::new(common::case_seed("kernel_walkthrough", 0));
+    let layouts = Layouts::default();
     let coin = secret_coin().expect("builds");
-    sweep_system(&coin, &["c=h".into(), "c=t".into()], &mut rng);
+    sweep_system(&coin, &["c=h".into(), "c=t".into()], &mut rng, &layouts);
 
     let tosses = async_coin_tosses(3).expect("builds");
-    sweep_system(&tosses, &["recent=h".into(), "recent=t".into()], &mut rng);
+    sweep_system(
+        &tosses,
+        &["recent=h".into(), "recent=t".into()],
+        &mut rng,
+        &layouts,
+    );
 
     let attack = ca1(2, rat!(1 / 2)).expect("builds");
-    sweep_system(&attack, &["coordinated".into()], &mut rng);
+    sweep_system(&attack, &["coordinated".into()], &mut rng, &layouts);
+    let (single, multi) = layouts.seen();
+    assert!(single > 0 && multi > 0, "{single} / {multi} spaces");
 }
 
 /// …and on machine-generated synchronous systems.
 #[test]
 fn kernel_matches_generic_on_random_sync_systems() {
+    let layouts = Layouts::default();
     cases_sharded("kernel_matches_generic_on_random_sync_systems", |rng| {
         let spec = arb_sync_spec(rng);
         let sys = build(&spec);
-        sweep_system(&sys, &prop_names(&spec), rng);
+        sweep_system(&sys, &prop_names(&spec), rng, &layouts);
     });
+    // Every agent of a synchronous system has a clock, so every sample
+    // holds at most one point per run.
+    let (single, multi) = layouts.seen();
+    assert!(single > 0, "no space was checked");
+    assert_eq!(multi, 0, "a synchronous sample held two points of a run");
 }
 
 /// …and on machine-generated asynchronous systems, where clockless
-/// samples straddle times and `NonMeasurable` actually fires.
+/// samples straddle times and `NonMeasurable` actually fires. Their
+/// clocked agents' samples take the points layout, the clockless ones'
+/// the block traces, so the sweep must meet both.
 #[test]
 fn kernel_matches_generic_on_random_async_systems() {
+    let layouts = Layouts::default();
     cases_sharded("kernel_matches_generic_on_random_async_systems", |rng| {
         let spec = arb_async_spec(rng);
         let sys = build(&spec);
-        sweep_system(&sys, &prop_names(&spec), rng);
+        sweep_system(&sys, &prop_names(&spec), rng, &layouts);
     });
+    let (single, multi) = layouts.seen();
+    assert!(
+        single > 0 && multi > 0,
+        "the async sweep must meet both layouts: {single} single-point, \
+         {multi} multi-point spaces"
+    );
 }
 
 /// The clockless observer's "most recent toss is heads" is the paper's
@@ -200,6 +253,32 @@ fn nonmeasurable_walkthrough_is_pinned() {
     ));
     assert_eq!(space.measure_interval(&phi), (rat!(1 / 8), rat!(7 / 8)));
     assert_kernel_agrees(&space, &phi);
+}
+
+/// The random systems fit in one word, so every kernel they build
+/// starts at word 0. Here the clocked agent's `fut` samples on a
+/// 448-point system lie inside late runs' words: single-point spaces
+/// whose span starts past the first word, checked against the generic
+/// scan on every query set.
+#[test]
+fn single_point_spaces_past_the_first_word_match_generic() {
+    let sys = async_coin_tosses(6).expect("builds");
+    let mut rng = Rng64::new(common::case_seed("kernel_first_word", 0));
+    let sets = query_sets(&sys, &["recent=h".into(), "c0=h".into()], &mut rng);
+    let fut = ProbAssignment::new(&sys, Assignment::fut());
+    let mut checked = 0;
+    for c in sys.points() {
+        let space = fut.space(AgentId(1), c).expect("space builds");
+        let (first_word, _) = space.kernel().expect("dense kernel").word_span();
+        if first_word == 0 || space.len() != space.block_count() {
+            continue;
+        }
+        checked += 1;
+        for phi in &sets {
+            assert_kernel_agrees(&space, phi);
+        }
+    }
+    assert!(checked > 0, "no single-point space starts past word 0");
 }
 
 /// Footprint hints are query-invisible on ladder-shaped sets: the same
@@ -277,7 +356,7 @@ fn kernel_agreement_is_thread_invariant() {
         let spec = arb_async_spec(&mut rng);
         let sys = build(&spec);
         let props = prop_names(&spec);
-        sweep_system(&sys, &props, &mut rng);
+        sweep_system(&sys, &props, &mut rng, &Layouts::default());
         // Collect a fingerprint of assignment-level answers.
         let pa = ProbAssignment::new(&sys, Assignment::post());
         let sets = query_sets(&sys, &props, &mut rng);
@@ -290,50 +369,4 @@ fn kernel_agreement_is_thread_invariant() {
         out
     };
     assert_eq!(observe(), observe(), "a second run changed an interval");
-}
-
-/// The per-class `Pr` memo is observationally invisible: `Pr_i ≥ α`
-/// satisfaction sets are identical with the memo on and off, across
-/// formulas sharing spaces and thresholds — and the memoized model
-/// actually caches inner measures.
-#[test]
-fn pr_memo_is_observationally_invisible() {
-    cases("pr_memo_invisibility", |rng| {
-        let spec = arb_sync_spec(rng);
-        let sys = build(&spec);
-        let props = prop_names(&spec);
-        let phi = Formula::prop(&props[rng.index(props.len())]);
-        let agents: Vec<AgentId> = (0..spec.agents).map(AgentId).collect();
-        let i = agents[rng.index(agents.len())];
-        // Repeated (space, sat-set) pairs across α thresholds: the memo
-        // caches the inner measure once and re-compares per α.
-        let queries = [
-            phi.clone().pr_ge(i, rat!(1 / 4)),
-            phi.clone().pr_ge(i, rat!(1 / 2)),
-            phi.clone().pr_ge(i, rat!(3 / 4)),
-            phi.clone().pr_ge(i, Rat::ONE),
-            phi.clone().not().pr_ge(i, rat!(1 / 2)),
-            phi.clone().pr_ge(i, rat!(1 / 2)).known_by(i),
-        ];
-        let post = ProbAssignment::new(&sys, Assignment::post());
-        let memoized = Model::new(&post);
-        // Plan off too, so the comparison covers the fully unassisted
-        // per-point path (the plan has its own differential suite).
-        let plain = Model::with_memos(&post, true, false, false);
-        assert!(memoized.pr_memo_enabled());
-        assert!(!plain.pr_memo_enabled());
-        for f in &queries {
-            let with_memo = memoized.sat(f).expect("model checks");
-            let without = plain.sat(f).expect("model checks");
-            assert_eq!(
-                *with_memo, *without,
-                "Pr memo changed the satisfaction set of {f}"
-            );
-        }
-        assert!(
-            memoized.pr_memo_len() > 0,
-            "threshold family never hit the Pr memo"
-        );
-        assert_eq!(plain.pr_memo_len(), 0);
-    });
 }

@@ -2,8 +2,8 @@
 //!
 //! The artifact/context split (DESIGN §3.2f) promises that M threads
 //! hammering one immutable [`ModelArtifact`] — racing on its
-//! formula cache, `knows_set` memo, `Pr` memo, and write-once plan
-//! table — produce satisfaction sets *bit-identical* to a serial
+//! formula cache, `knows_set` memo and write-once plan table —
+//! produce satisfaction sets *bit-identical* to a serial
 //! [`Model`] facade evaluation over the same system. These tests hold
 //! it to that promise on the paper's walkthrough systems and on random
 //! sync/async systems.
