@@ -16,8 +16,9 @@
 //! * one `u32` **slot** per point (dense [`PointIndex`] order): the
 //!   index of the point's class, or a sentinel for an unplanned point;
 //! * the **class list**: each class's space, in first-point order;
-//! * the **class arena**: every class's points as word-sparse
-//!   `(word, bits)` pairs, class after class, with per-class offsets.
+//! * the **class words**: every class's points as one group of a
+//!   [`WordGroups`] — dense words over the class's word range, or
+//!   `(word, bits)` pairs, whichever is smaller — class after class.
 //!
 //! # Why batching whole classes is exact
 //!
@@ -41,8 +42,9 @@
 //! ascending pass that skips already-planned points performs exactly
 //! one extraction and one space construction (cache hit or build) per
 //! class, filing the sample's points into the class word by word. A
-//! final pass over the slots writes every class's pairs into the arena,
-//! allocated once at its exact size. Points where the assignment
+//! final pass over the slots gathers every class's words, and each
+//! class is encoded once, in arrays allocated at their exact size.
+//! Points where the assignment
 //! violates REQ1/REQ2 are left unplanned, so fallback paths reproduce
 //! the exact per-point errors of the unplanned code.
 //!
@@ -61,6 +63,7 @@
 //! `tests/plan_differential.rs` pins this with `Arc::ptr_eq`.
 
 use crate::dense::DensePointSpace;
+use kpa_measure::{GroupWords, WordGroups};
 use kpa_system::{AgentId, PointId, PointIndex, PointSet};
 use std::collections::HashMap;
 use std::fmt;
@@ -81,10 +84,8 @@ pub struct SamplePlan {
     slots: Vec<u32>,
     /// Per class, in first-point order: its space.
     spaces: Vec<Arc<DensePointSpace>>,
-    /// Class `k`'s pairs are `pairs[offsets[k]..offsets[k + 1]]`.
-    offsets: Vec<usize>,
-    /// Every class's points as `(word, bits)` pairs, class after class.
-    pairs: Vec<(usize, u64)>,
+    /// Group `k` holds class `k`'s points.
+    words: WordGroups,
     extractions: usize,
     covered: usize,
     batched: bool,
@@ -103,9 +104,9 @@ impl SamplePlan {
     }
 
     /// Class `k` (of [`classes`](SamplePlan::classes), in first-point
-    /// order): its space, and its points as word-sparse `(word, bits)`
-    /// pairs — bit `b` of `bits` is the point with dense index
-    /// `64 · word + b`. The classes are pairwise disjoint, together hold
+    /// order): its space, and its points as dense words or `(word, bits)`
+    /// pairs — bit `b` of word `w` is the point with dense index
+    /// `64 · w + b`. The classes are pairwise disjoint, together hold
     /// exactly the planned points, and [`space`](SamplePlan::space)
     /// returns class `k`'s space at each of its points.
     ///
@@ -113,11 +114,8 @@ impl SamplePlan {
     ///
     /// Panics if `k >= classes()`.
     #[must_use]
-    pub fn class(&self, k: usize) -> (&Arc<DensePointSpace>, &[(usize, u64)]) {
-        (
-            &self.spaces[k],
-            &self.pairs[self.offsets[k]..self.offsets[k + 1]],
-        )
+    pub fn class(&self, k: usize) -> (&Arc<DensePointSpace>, GroupWords<'_>) {
+        (&self.spaces[k], self.words.group(k))
     }
 
     /// The points the plan leaves unplanned, in ascending order.
@@ -183,15 +181,14 @@ impl SamplePlan {
         self.batched
     }
 
-    /// Heap bytes of the slots, the class list and the class arena (the
+    /// Heap bytes of the slots, the class list and the class words (the
     /// spaces themselves belong to the space cache and are counted
     /// there).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * size_of::<u32>()
             + self.spaces.capacity() * size_of::<Arc<DensePointSpace>>()
-            + self.offsets.capacity() * size_of::<usize>()
-            + self.pairs.capacity() * size_of::<(usize, u64)>()
+            + self.words.heap_bytes()
     }
 }
 
@@ -202,7 +199,7 @@ impl fmt::Debug for SamplePlan {
             .field("points", &self.slots.len())
             .field("covered", &self.covered)
             .field("classes", &self.spaces.len())
-            .field("pairs", &self.pairs.len())
+            .field("stored_words", &self.words.stored_words())
             .field("extractions", &self.extractions)
             .field("batched", &self.batched)
             .finish()
@@ -211,7 +208,7 @@ impl fmt::Debug for SamplePlan {
 
 /// A plan under construction: the assignment core walks the points in
 /// ascending order and files each newly planned point into its space's
-/// class; [`PlanBuilder::finish`] then lays the classes out as pairs.
+/// class; [`PlanBuilder::finish`] then encodes each class's words.
 pub(crate) struct PlanBuilder {
     slots: Vec<u32>,
     spaces: Vec<Arc<DensePointSpace>>,
@@ -276,10 +273,11 @@ impl PlanBuilder {
         class
     }
 
-    /// Lays the classes' pairs out back to back in one arena, from the
-    /// slots: one pass counts each class's words, a second writes the
-    /// pairs, so the arena is allocated once at its exact size and no
-    /// per-class buffer outlives the build.
+    /// Encodes the classes' words from the slots: one pass counts each
+    /// class's occupied words, a second writes them as `(word, bits)`
+    /// pairs into one scratch arena, and [`WordGroups::from_groups`]
+    /// encodes each class from its pairs. No per-class buffer, and not
+    /// the scratch arena, outlives the build.
     pub(crate) fn finish(
         mut self,
         agent: AgentId,
@@ -306,7 +304,7 @@ impl PlanBuilder {
         }
         // Pass 2: the pairs, each class's in ascending word order.
         let mut next = offsets[..classes].to_vec();
-        let mut pairs = vec![(0usize, 0u64); offsets[classes]];
+        let mut pairs = vec![(0u32, 0u64); offsets[classes]];
         last_word.fill(usize::MAX);
         for (k, word) in self.slots.chunks(64).enumerate() {
             for (b, &slot) in word.iter().enumerate() {
@@ -316,20 +314,21 @@ impl PlanBuilder {
                 let class = slot as usize;
                 if last_word[class] != k {
                     last_word[class] = k;
-                    pairs[next[class]] = (k, 0);
+                    let word = u32::try_from(k).expect("plan words fit u32");
+                    pairs[next[class]] = (word, 0);
                     next[class] += 1;
                 }
                 pairs[next[class] - 1].1 |= 1 << b;
             }
         }
+        let words = WordGroups::from_groups(offsets.windows(2).map(|w| &pairs[w[0]..w[1]]));
         self.spaces.shrink_to_fit();
         SamplePlan {
             agent,
             index,
             slots: self.slots,
             spaces: self.spaces,
-            offsets,
-            pairs,
+            words,
             extractions,
             covered: self.covered,
             batched,

@@ -117,7 +117,7 @@ fn main() {
             "artifact diverged from the serial facade on {f}"
         );
     }
-    assert!(artifact.sat_cache_len() >= family.len());
+    assert!(artifact.subterm_memo_len() >= family.len());
     assert_eq!(artifact.plans_built(), sys.agent_count());
     println!(
         "identity check: {} formulas bit-identical on {} points (serial facade vs shared artifact)\n",

@@ -32,7 +32,7 @@
 //! several threads and asserts word-level bit-equality with a serial
 //! facade evaluation.
 
-use crate::compile::{CompiledFormula, FormulaArena, Term, TermId};
+use crate::compile::{Body, CompiledFormula, FormulaArena, Term, TermId};
 use crate::error::LogicError;
 use crate::formula::Formula;
 use kpa_assign::{AssignCore, Assignment, DensePointSpace, Memo, SamplePlan};
@@ -44,12 +44,15 @@ use std::sync::Arc;
 
 /// The two evaluation memos, each a [`Memo`]:
 ///
-/// * `cache` — whole formula → satisfaction set (the entry-point memo
-///   keyed by the uncompiled AST, so facade callers skip compilation
-///   entirely on repeat queries);
+/// * `cache` — whole formula → satisfaction set, keyed by the
+///   uncompiled AST. It serves only the tree walker
+///   ([`EvalView::sat`], i.e. [`Model::sat`](crate::Model::sat)); the
+///   compiled path never reads or fills it, so an artifact's stays
+///   empty;
 /// * `terms` — interned [`TermId`] → satisfaction set: **one** unified
-///   per-subterm memo covering every node of the compiled DAG *and*
-///   the set-level `K_i ⌜S⌝` / `Pr_i ≥ α ⌜S⌝` queries (quoted as
+///   per-subterm memo covering every node of the compiled DAG — whole
+///   compiled formulas included, under their root — *and* the
+///   set-level `K_i ⌜S⌝` / `Pr_i ≥ α ⌜S⌝` queries (quoted as
 ///   [`Term::Lit`] leaves). This replaced the separate
 ///   `(agent, set)`-keyed knows memo — one map means the structural
 ///   and set-level caches cannot drift.
@@ -169,58 +172,67 @@ impl EvalView<'_> {
     /// `sat` through the formula compiler: hash-cons `f` into the
     /// arena's interned DAG and evaluate per distinct subterm, so a
     /// subterm shared with *any* previously compiled query is a single
-    /// memo hit instead of a re-walk. Bit-identical to [`EvalView::sat`]
-    /// — same arm logic, same visit order, same error discovery —
-    /// pinned by `tests/compile_differential.rs`.
+    /// memo hit instead of a re-walk. The whole formula is looked up
+    /// under its root in the subterm memo — the compiled path's one
+    /// memo (`logic.sat_cache_hit` / `_miss` count that lookup) — so
+    /// with the memo off nothing is cached. Bit-identical to
+    /// [`EvalView::sat`] — same arm logic, same visit order, same
+    /// error discovery — pinned by `tests/compile_differential.rs`.
     pub(crate) fn sat_compiled(&self, f: &Formula) -> Result<Arc<PointSet>, LogicError> {
-        if let Some(hit) = self.memos.cache.get(f) {
-            kpa_trace::count!("logic.sat_cache_hit");
-            return Ok(hit);
+        let root = self.arena.intern(f);
+        if let Some(memo) = &self.memos.terms {
+            if let Some(hit) = memo.get(&root) {
+                kpa_trace::count!("logic.sat_cache_hit");
+                kpa_trace::count!("logic.subterm_memo.hit");
+                return Ok(hit);
+            }
+            kpa_trace::count!("logic.sat_cache_miss");
+            kpa_trace::count!("logic.subterm_memo.miss");
         }
-        kpa_trace::count!("logic.sat_cache_miss");
-        let compiled = self.arena.compile(f);
-        let result = self.eval_compiled(&compiled)?;
-        Ok(self.memos.cache.insert_or_get(f.clone(), result))
-    }
-
-    /// Evaluates an already-compiled formula against this view.
-    pub(crate) fn eval_compiled(
-        &self,
-        compiled: &CompiledFormula,
-    ) -> Result<Arc<PointSet>, LogicError> {
-        let defs = compiled.defs();
-        let mut env: HashMap<TermId, Arc<PointSet>> = HashMap::new();
-        self.eval_term(compiled.root(), &defs, &mut env)
+        let compiled = self.arena.program(root);
+        self.eval_node(root, &compiled, &mut vec![None; compiled.len()])
     }
 
     /// Evaluates one interned subterm, recursing over the DAG in
     /// exactly the order the tree walker visits the AST (children left
-    /// to right, `C_G` group checks before bodies). `env` collapses
-    /// repeats *within* this evaluation even when the shared memo is
-    /// disabled; the shared `terms` memo collapses repeats across
-    /// queries, contexts, and threads.
+    /// to right, `C_G` group checks before bodies). `env`, indexed by
+    /// program position, collapses repeats *within* this evaluation
+    /// even when the shared memo is disabled; the shared `terms` memo
+    /// collapses repeats across queries, contexts, and threads.
     fn eval_term(
         &self,
         id: TermId,
-        defs: &HashMap<TermId, &Term>,
-        env: &mut HashMap<TermId, Arc<PointSet>>,
+        compiled: &CompiledFormula,
+        env: &mut [Option<Arc<PointSet>>],
     ) -> Result<Arc<PointSet>, LogicError> {
-        if let Some(hit) = env.get(&id) {
+        let at = compiled.def(id).0;
+        if let Some(hit) = &env[at] {
             return Ok(Arc::clone(hit));
         }
         if let Some(memo) = &self.memos.terms {
             if let Some(hit) = memo.get(&id) {
                 kpa_trace::count!("logic.subterm_memo.hit");
-                env.insert(id, Arc::clone(&hit));
+                env[at] = Some(Arc::clone(&hit));
                 return Ok(hit);
             }
             kpa_trace::count!("logic.subterm_memo.miss");
         }
+        self.eval_node(id, compiled, env)
+    }
+
+    /// Evaluates subterm `id` itself, after its memo lookups missed, and
+    /// files the answer in the memo and in `env`.
+    fn eval_node(
+        &self,
+        id: TermId,
+        compiled: &CompiledFormula,
+        env: &mut [Option<Arc<PointSet>>],
+    ) -> Result<Arc<PointSet>, LogicError> {
         // One evaluated DAG node (mirrors `logic.sat_eval` on the tree
         // path; shared subterms are counted once, not once per parent).
         kpa_trace::count!("logic.sat_eval");
         let sys = self.sys;
-        let term = *defs.get(&id).expect("compiled program covers its subterms");
+        let (at, term) = compiled.def(id);
         let result: Arc<PointSet> = match term {
             Term::True => Arc::clone(self.all),
             Term::Prop(name) => {
@@ -229,48 +241,48 @@ impl EvalView<'_> {
                     .ok_or_else(|| LogicError::UnknownProp { name: name.clone() })?;
                 Arc::new(sys.points_satisfying(pid))
             }
-            Term::Lit(set) => Arc::clone(set),
-            Term::Not(x) => Arc::new(self.eval_term(*x, defs, env)?.complement()),
+            Term::Lit(lit) => Arc::clone(lit.set()),
+            Term::Not(x) => Arc::new(self.eval_term(*x, compiled, env)?.complement()),
             Term::And(xs) => {
                 let mut acc = (**self.all).clone();
                 for x in xs {
-                    acc.intersect_with(&*self.eval_term(*x, defs, env)?);
+                    acc.intersect_with(&*self.eval_term(*x, compiled, env)?);
                 }
                 Arc::new(acc)
             }
             Term::Or(xs) => {
                 let mut acc = sys.empty_points();
                 for x in xs {
-                    acc.union_with(&*self.eval_term(*x, defs, env)?);
+                    acc.union_with(&*self.eval_term(*x, compiled, env)?);
                 }
                 Arc::new(acc)
             }
             Term::Knows(i, x) => {
-                let body = self.eval_term(*x, defs, env)?;
+                let body = self.eval_term(*x, compiled, env)?;
                 self.knows_set(*i, &body)
             }
             Term::PrGe(i, alpha, x) => {
-                let body = self.eval_term(*x, defs, env)?;
+                let body = self.eval_term(*x, compiled, env)?;
                 self.pr_ge_set(*i, *alpha, &body)?
             }
-            Term::Next(x) => Arc::new(self.eval_term(*x, defs, env)?.precursors()),
+            Term::Next(x) => Arc::new(self.eval_term(*x, compiled, env)?.precursors()),
             Term::Until(x, y) => {
-                let hold = self.eval_term(*x, defs, env)?;
-                let goal = self.eval_term(*y, defs, env)?;
+                let hold = self.eval_term(*x, compiled, env)?;
+                let goal = self.eval_term(*y, compiled, env)?;
                 Arc::new(until(&hold, &goal))
             }
             Term::Common(group, x) => {
                 if group.is_empty() {
                     return Err(LogicError::EmptyGroup);
                 }
-                let phi = self.eval_term(*x, defs, env)?;
+                let phi = self.eval_term(*x, compiled, env)?;
                 Arc::new(self.common(group, None, &phi)?)
             }
             Term::CommonGe(group, alpha, x) => {
                 if group.is_empty() {
                     return Err(LogicError::EmptyGroup);
                 }
-                let phi = self.eval_term(*x, defs, env)?;
+                let phi = self.eval_term(*x, compiled, env)?;
                 Arc::new(self.common(group, Some(*alpha), &phi)?)
             }
         };
@@ -278,73 +290,67 @@ impl EvalView<'_> {
             Some(memo) => memo.insert_or_get(id, result),
             None => result,
         };
-        env.insert(id, Arc::clone(&shared));
+        env[at] = Some(Arc::clone(&shared));
         Ok(shared)
     }
 
     /// Answers the whole threshold family `Pr_agent ≥ α₁…α_k f` in one
-    /// equivalence-class sweep: the body is evaluated once, each
-    /// class's inner measure is computed once and thresholded k times,
-    /// and the k satisfaction sets come back in `alphas` order. Every member is memoized exactly as if asked
-    /// serially (formula cache + interned `Pr_i ≥ α ⌜S⌝` subterm), and
-    /// the answers are bit-identical to k serial [`EvalView::sat`]
-    /// calls — thresholding a class once per α against the same exact
-    /// rational measure is the same comparison the single-α sweep
-    /// makes.
+    /// equivalence-class sweep: the body is compiled and evaluated once,
+    /// each class's inner measure is computed once and thresholded k
+    /// times, and the k satisfaction sets come back in `alphas` order.
+    /// Each member is interned from the body's root as
+    /// `Pr_agent ≥ αⱼ body` — the id compiling `f.pr_ge(agent, αⱼ)`
+    /// gives — and, with the body quoted once, as `Pr_agent ≥ αⱼ ⌜S⌝`,
+    /// and its set is filed in the subterm memo under both, so later
+    /// structural queries *and* raw-set sweeps hit. The answers are
+    /// bit-identical to k serial [`EvalView::sat`] calls —
+    /// thresholding a class once per α against the same exact rational
+    /// measure is the same comparison the single-α sweep makes.
     pub(crate) fn pr_ge_family(
         &self,
         agent: AgentId,
         alphas: &[Rat],
         f: &Formula,
     ) -> Result<Vec<Arc<PointSet>>, LogicError> {
-        let members: Vec<Formula> = alphas
-            .iter()
-            .map(|&alpha| f.clone().pr_ge(agent, alpha))
-            .collect();
+        let root = self.arena.intern(f);
+        let body = || -> Result<Arc<PointSet>, LogicError> {
+            let body = self.arena.program(root);
+            self.eval_term(root, &body, &mut vec![None; body.len()])
+        };
+        let Some(memo) = &self.memos.terms else {
+            let sets = self.family_sweep(agent, alphas, &*body()?)?;
+            return Ok(sets.into_iter().map(Arc::new).collect());
+        };
+        let members = self.arena.pr_ge_members(agent, alphas, Body::Term(root));
         // Fast path: the whole family has been answered before.
-        let cached: Vec<Option<Arc<PointSet>>> =
-            members.iter().map(|m| self.memos.cache.get(m)).collect();
+        let cached: Vec<Option<Arc<PointSet>>> = members.iter().map(|id| memo.get(id)).collect();
         if cached.iter().all(Option::is_some) {
             kpa_trace::count!("logic.sat_cache_hit", members.len() as u64);
             return Ok(cached.into_iter().flatten().collect());
         }
         // The sweep below evaluates every member, cached or not.
         kpa_trace::count!("logic.sat_cache_miss", members.len() as u64);
-        // Compiling each member hash-conses the shared body once; the
-        // k−1 re-interns are where `logic.terms_deduped` earns its
-        // keep on family workloads.
-        let compiled: Vec<CompiledFormula> =
-            members.iter().map(|m| self.arena.compile(m)).collect();
-        let body = self.eval_compiled(&self.arena.compile(f))?;
-        let sets = self.family_sweep(agent, alphas, &body)?;
-        let mut out = Vec::with_capacity(sets.len());
-        for (((member, set), compiled), &alpha) in
-            members.into_iter().zip(sets).zip(&compiled).zip(alphas)
-        {
-            let shared = match &self.memos.terms {
-                Some(memo) => {
-                    // Key under both spellings of the member — the
-                    // structural `Pr_i ≥ α φ` term and the set-level
-                    // `Pr_i ≥ α ⌜S⌝` term — so later structural
-                    // queries *and* raw-set sweeps hit.
-                    let set_id = self.arena.pr_ge_of_set(agent, alpha, &body);
-                    let shared = memo.insert_or_get(compiled.root(), Arc::new(set));
-                    memo.insert_or_get(set_id, Arc::clone(&shared));
-                    shared
-                }
-                None => Arc::new(set),
-            };
-            out.push(self.memos.cache.insert_or_get(member, shared));
-        }
-        Ok(out)
+        let sat = body()?;
+        let sets = self.family_sweep(agent, alphas, &sat)?;
+        let quoted = self.arena.quote(&sat);
+        let set_ids = self.arena.pr_ge_members(agent, alphas, Body::Lit(&quoted));
+        Ok(sets
+            .into_iter()
+            .zip(members.into_iter().zip(set_ids))
+            .map(|(set, (member, set_id))| {
+                let shared = memo.insert_or_get(member, Arc::new(set));
+                memo.insert_or_get(set_id, Arc::clone(&shared))
+            })
+            .collect())
     }
 
     /// The one-sweep kernel behind [`EvalView::pr_ge_family`] and (with
     /// k = 1) [`EvalView::pr_ge_set`]. Like `K_i`, each threshold set is
     /// a union of whole classes: the plan's classes are visited in
     /// first-point order, each class's inner measure is computed once,
-    /// straight from its space's kernel, and the class's points are ORed word-wise into every set whose α
-    /// it reaches. The points the plan leaves unplanned — or every
+    /// straight from its space's kernel, and the class's points are ORed
+    /// word-wise (one contiguous loop for a dense class) into every set
+    /// whose α it reaches. The points the plan leaves unplanned — or every
     /// point, with the plan off — then go one by one in ascending
     /// order, each distinct space measured once, so the first point
     /// where the assignment fails reports its error. Thresholding is
@@ -372,11 +378,11 @@ impl EvalView<'_> {
         let mut out: Vec<PointSet> = alphas.iter().map(|_| sys.empty_points()).collect();
         if let Some(plan) = &plan {
             for k in 0..plan.classes() {
-                let (space, pairs) = plan.class(k);
+                let (space, points) = plan.class(k);
                 let inner = space.inner_measure(sat);
                 for (acc, alpha) in out.iter_mut().zip(alphas) {
                     if inner >= *alpha {
-                        acc.union_word_pairs(pairs);
+                        acc.union_group(points);
                     }
                 }
             }
@@ -416,7 +422,7 @@ impl EvalView<'_> {
     /// See [`Model::knows_set`](crate::Model::knows_set).
     pub(crate) fn knows_set(&self, agent: AgentId, sat: &Arc<PointSet>) -> Arc<PointSet> {
         if let Some(memo) = &self.memos.terms {
-            let id = self.arena.knows_of_set(agent, sat);
+            let id = self.arena.knows_of_set(agent, &self.arena.quote(sat));
             if let Some(hit) = memo.get(&id) {
                 kpa_trace::count!("logic.knows_memo_hit");
                 kpa_trace::count!("logic.subterm_memo.hit");
@@ -459,7 +465,10 @@ impl EvalView<'_> {
         if let Some(memo) = &self.memos.terms {
             // Interned as `Pr_agent ≥ α ⌜sat⌝`; only successful sweeps
             // are cached, so error behavior is identical on repeats.
-            let id = self.arena.pr_ge_of_set(agent, alpha, sat);
+            let quoted = self.arena.quote(sat);
+            let id = self
+                .arena
+                .pr_ge_members(agent, &[alpha], Body::Lit(&quoted))[0];
             if let Some(hit) = memo.get(&id) {
                 kpa_trace::count!("logic.subterm_memo.hit");
                 return Ok(hit);
@@ -678,15 +687,9 @@ impl ModelArtifact {
                 acc + size_of::<(TermId, Arc<PointSet>)>() + set(s)
             });
         }
-        bytes += self.terms_interned() * size_of::<(Term, TermId)>()
+        bytes += self.terms_interned() * FormulaArena::TERM_BYTES
             + self.arena.lits().iter().map(set).sum::<usize>();
         bytes as u64
-    }
-
-    /// How many formulas the shared satisfaction cache holds.
-    #[must_use]
-    pub fn sat_cache_len(&self) -> usize {
-        self.memos.cache.len()
     }
 
     /// How many interned-subterm entries the shared per-subterm memo
@@ -962,7 +965,7 @@ mod tests {
         let artifact = ModelArtifact::new(Arc::new(intro_system()), Assignment::post());
         let f = Formula::prop("c=h").known_by(AgentId(2));
         let a = artifact.ctx().sat(&f).unwrap();
-        assert!(artifact.sat_cache_len() > 0);
+        assert!(artifact.subterm_memo_len() > 0);
         // A *different* context gets the very same shared set.
         let b = artifact.ctx().sat(&f).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "memos must warm across contexts");
@@ -1009,7 +1012,7 @@ mod tests {
         let artifact = ModelArtifact::new(Arc::new(observed_coins()), Assignment::post());
         let ctx = artifact.ctx();
         let set_bytes = (size_of::<PointSet>() + size_of_val(artifact.all.as_words())) as u64;
-        // One new set, held by the formula cache and the subterm memo.
+        // One new set, held by the subterm memo under the formula's root.
         let before = artifact.approx_resident_bytes();
         let heads = ctx.sat(&Formula::prop("c0=h")).unwrap();
         let grown = artifact.approx_resident_bytes() - before;

@@ -65,5 +65,5 @@ pub use compile::{CompiledFormula, FormulaArena, TermId};
 pub use error::LogicError;
 pub use formula::Formula;
 pub use model::{Model, PointSet};
-pub use parse::{parse_formula, parse_in, ParseFormulaError};
+pub use parse::{parse_formula, parse_in, ParseFormulaError, MAX_FORMULA_DEPTH, MAX_FORMULA_NODES};
 pub use proof::{Axiom, Line, Proof, ProofError, Step};

@@ -74,8 +74,8 @@ pub use kpa_system::PointSet;
 pub struct Model<'a, 's> {
     pa: &'a ProbAssignment<'s>,
     all: Arc<PointSet>,
-    /// Per-model memos (formula sat cache, unified per-subterm
-    /// memo). Owning them per model — where the artifact shares them
+    /// Per-model memos (the tree walker's formula cache, the unified
+    /// per-subterm memo). Owning them per model — where the artifact shares them
     /// across threads — is what gives the differential suites
     /// memo-scoped observability (`subterm_memo_len`).
     memos: EvalMemos,
@@ -101,7 +101,11 @@ impl<'a, 's> Model<'a, 's> {
     /// Builds a model checker with each knob explicitly on or off:
     /// `knows` gates the unified per-subterm satisfaction-set memo
     /// (covering both the compiled DAG and raw-set
-    /// `knows_set`/`pr_ge_set` queries), and `plan` the per-agent
+    /// `knows_set`/`pr_ge_set` queries). It is the compiled path's only
+    /// memo, so with it off [`Model::sat_compiled`] and
+    /// [`Model::pr_ge_family`] cache nothing (a repeat re-evaluates and
+    /// returns a fresh `Arc`), while the tree walker [`Model::sat`]
+    /// keeps its formula cache. `plan` gates the per-agent
     /// batched [`kpa_assign::SamplePlan`] that replaces per-point
     /// sample extraction with a sweep over its classes. `pr` is
     /// ignored: the per-class `Pr` memo it switched is deleted, since a

@@ -54,10 +54,86 @@ impl fmt::Display for ParseFormulaError {
 
 impl std::error::Error for ParseFormulaError {}
 
+/// How deep a parsed formula's tree may nest. Compiling, evaluating
+/// and dropping a formula recurse along its tree, so the bound keeps a
+/// formula from any client inside a connection thread's stack. Depth
+/// counts the tree the parser builds, not the text: `[]φ` spells three
+/// levels (`¬(true U ¬φ)`), `K{i}^[a,b] φ` four. Runs of prefix
+/// operators and `->`/`U` chains are parsed in loops, and parentheses
+/// and `Pr{..}(..)` bodies recurse; none may run or nest deeper than
+/// the bound either.
+pub const MAX_FORMULA_DEPTH: usize = 64;
+
+/// How many nodes a parsed formula's tree may hold. The abbreviations
+/// that copy their operands (`K{i}^[a,b]`, `<->`, `E{..}`) can double a
+/// tree per operator, so the bound is checked before each node is
+/// built, and no formula of any length allocates past it.
+pub const MAX_FORMULA_NODES: usize = 1 << 16;
+
+/// The depth and node count of a parsed tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    depth: usize,
+    nodes: usize,
+}
+
+impl Shape {
+    /// A leaf: `true`, a proposition.
+    const LEAF: Shape = Shape { depth: 1, nodes: 1 };
+
+    /// `levels` nodes stacked over `self` (and `extra` leaves beside
+    /// them).
+    fn over(self, levels: usize, extra: usize) -> Shape {
+        Shape {
+            depth: self.depth + levels,
+            nodes: self.nodes.saturating_add(levels + extra),
+        }
+    }
+
+    /// One n-ary node over `parts`.
+    fn join(parts: impl IntoIterator<Item = Shape>) -> Shape {
+        parts
+            .into_iter()
+            .fold(Shape { depth: 1, nodes: 1 }, |acc, p| Shape {
+                depth: acc.depth.max(p.depth + 1),
+                nodes: acc.nodes.saturating_add(p.nodes),
+            })
+    }
+
+    /// `copies` copies of `self`, each under `levels` nodes, joined
+    /// under one more.
+    fn copies(self, copies: usize, levels: usize) -> Shape {
+        Shape {
+            depth: self.depth + levels + 1,
+            nodes: self
+                .nodes
+                .saturating_add(levels)
+                .saturating_mul(copies)
+                .saturating_add(1),
+        }
+    }
+}
+
+/// A parsed formula with its tree's shape.
+type Parsed = (Formula, Shape);
+
+/// A prefix operator, parsed before its operand.
+enum Prefix {
+    Not,
+    Eventually,
+    Always,
+    Next,
+    Knows(AgentId, Option<(Rat, Option<Rat>)>),
+    Common(Vec<AgentId>, Option<Rat>),
+    Everyone(Vec<AgentId>, Option<Rat>),
+}
+
 struct Parser<'a, R> {
     input: &'a str,
     pos: usize,
     resolve: R,
+    /// How deep the parser has recursed along the text.
+    nesting: usize,
 }
 
 impl<'a, R: Fn(&str) -> Option<AgentId>> Parser<'a, R> {
@@ -68,10 +144,43 @@ impl<'a, R: Fn(&str) -> Option<AgentId>> Parser<'a, R> {
         })
     }
 
+    /// Builds the formula whose tree has `shape`, unless the shape
+    /// passes a bound: checked before `build` allocates anything.
+    fn build(
+        &self,
+        shape: Shape,
+        build: impl FnOnce() -> Formula,
+    ) -> Result<Parsed, ParseFormulaError> {
+        if shape.depth > MAX_FORMULA_DEPTH {
+            return self.err(format!(
+                "formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+            ));
+        }
+        if shape.nodes > MAX_FORMULA_NODES {
+            return self.err(format!("formula has more than {MAX_FORMULA_NODES} nodes"));
+        }
+        Ok((build(), shape))
+    }
+
+    /// Runs `parse` one level deeper along the text.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Parsed, ParseFormulaError>,
+    ) -> Result<Parsed, ParseFormulaError> {
+        if self.nesting == MAX_FORMULA_DEPTH {
+            return self.err(format!(
+                "formula text nests deeper than {MAX_FORMULA_DEPTH} levels"
+            ));
+        }
+        self.nesting += 1;
+        let out = parse(self);
+        self.nesting -= 1;
+        out
+    }
+
     fn rest(&self) -> &'a str {
         &self.input[self.pos..]
     }
-
     fn skip_ws(&mut self) {
         while self.rest().starts_with(|c: char| c.is_ascii_whitespace()) {
             self.pos += 1;
@@ -197,74 +306,123 @@ impl<'a, R: Fn(&str) -> Option<AgentId>> Parser<'a, R> {
         }
     }
 
-    fn formula(&mut self) -> Result<Formula, ParseFormulaError> {
+    fn formula(&mut self) -> Result<Parsed, ParseFormulaError> {
         let mut acc = self.imp()?;
         while self.eat("<->") {
             let rhs = self.imp()?;
-            acc = acc.iff(rhs);
+            // (a → b) ∧ (b → a): both operands twice.
+            let shape = Shape {
+                depth: acc.1.depth.max(rhs.1.depth) + 3,
+                nodes: (acc.1.nodes.saturating_add(rhs.1.nodes))
+                    .saturating_mul(2)
+                    .saturating_add(5),
+            };
+            acc = self.build(shape, || acc.0.iff(rhs.0))?;
         }
         Ok(acc)
     }
 
-    fn imp(&mut self) -> Result<Formula, ParseFormulaError> {
-        let lhs = self.until()?;
-        if self.eat("->") {
-            let rhs = self.imp()?;
-            Ok(lhs.implies(rhs))
-        } else {
-            Ok(lhs)
+    /// `a -> b -> c`, right associative: the operands are parsed in a
+    /// loop and folded from the right, so a long chain does not recurse.
+    fn imp(&mut self) -> Result<Parsed, ParseFormulaError> {
+        let mut parts = vec![self.until()?];
+        while self.eat("->") {
+            self.chain(parts.len())?;
+            parts.push(self.until()?);
         }
+        let mut acc = parts.pop().expect("one operand");
+        while let Some(lhs) = parts.pop() {
+            // ¬a ∨ b.
+            let shape = Shape::join([lhs.1.over(1, 0), acc.1]);
+            acc = self.build(shape, || lhs.0.implies(acc.0))?;
+        }
+        Ok(acc)
     }
 
-    fn until(&mut self) -> Result<Formula, ParseFormulaError> {
-        let lhs = self.or()?;
-        if self.eat_keyword("U") {
-            let rhs = self.until()?;
-            Ok(lhs.until(rhs))
-        } else {
-            Ok(lhs)
+    /// `a U b U c`, right associative, folded like [`Parser::imp`].
+    fn until(&mut self) -> Result<Parsed, ParseFormulaError> {
+        let mut parts = vec![self.or()?];
+        while self.eat_keyword("U") {
+            self.chain(parts.len())?;
+            parts.push(self.or()?);
         }
+        let mut acc = parts.pop().expect("one operand");
+        while let Some(lhs) = parts.pop() {
+            let shape = Shape::join([lhs.1, acc.1]);
+            acc = self.build(shape, || lhs.0.until(acc.0))?;
+        }
+        Ok(acc)
     }
 
-    fn or(&mut self) -> Result<Formula, ParseFormulaError> {
-        let first = self.and()?;
-        let mut parts = vec![first];
+    /// Refuses a right-associative chain, or a run of prefix operators,
+    /// that already holds `len` operators: each adds a tree level.
+    fn chain(&self, len: usize) -> Result<(), ParseFormulaError> {
+        if len >= MAX_FORMULA_DEPTH {
+            return self.err(format!(
+                "formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+            ));
+        }
+        Ok(())
+    }
+
+    fn or(&mut self) -> Result<Parsed, ParseFormulaError> {
+        let mut parts = vec![self.and()?];
         while self.eat("|") {
             parts.push(self.and()?);
         }
         if parts.len() == 1 {
-            Ok(parts.pop().expect("one element"))
-        } else {
-            Ok(Formula::Or(parts))
+            return Ok(parts.pop().expect("one element"));
         }
+        let shape = Shape::join(parts.iter().map(|p| p.1));
+        self.build(shape, || {
+            Formula::Or(parts.into_iter().map(|p| p.0).collect())
+        })
     }
 
-    fn and(&mut self) -> Result<Formula, ParseFormulaError> {
-        let first = self.unary()?;
-        let mut parts = vec![first];
+    fn and(&mut self) -> Result<Parsed, ParseFormulaError> {
+        let mut parts = vec![self.unary()?];
         while self.eat("&") {
             parts.push(self.unary()?);
         }
         if parts.len() == 1 {
-            Ok(parts.pop().expect("one element"))
-        } else {
-            Ok(Formula::And(parts))
+            return Ok(parts.pop().expect("one element"));
         }
+        let shape = Shape::join(parts.iter().map(|p| p.1));
+        self.build(shape, || {
+            Formula::And(parts.into_iter().map(|p| p.0).collect())
+        })
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseFormulaError> {
+    /// A run of prefix operators and the atom they apply to: the
+    /// operators are parsed in a loop and applied innermost first, so a
+    /// long run does not recurse.
+    fn unary(&mut self) -> Result<Parsed, ParseFormulaError> {
+        let mut ops = Vec::new();
+        while let Some(op) = self.prefix()? {
+            self.chain(ops.len())?;
+            ops.push(op);
+        }
+        let mut acc = self.atom()?;
+        while let Some(op) = ops.pop() {
+            acc = self.apply(op, acc)?;
+        }
+        Ok(acc)
+    }
+
+    /// The next prefix operator, if one follows.
+    fn prefix(&mut self) -> Result<Option<Prefix>, ParseFormulaError> {
         self.skip_ws();
         if self.eat("!") {
-            return Ok(self.unary()?.not());
+            return Ok(Some(Prefix::Not));
         }
         if self.eat("<>") {
-            return Ok(self.unary()?.eventually());
+            return Ok(Some(Prefix::Eventually));
         }
         if self.eat("[]") {
-            return Ok(self.unary()?.always());
+            return Ok(Some(Prefix::Always));
         }
         if self.eat_keyword("X") {
-            return Ok(self.unary()?.next());
+            return Ok(Some(Prefix::Next));
         }
         if self.rest().starts_with("K{") {
             self.pos += 1;
@@ -273,34 +431,65 @@ impl<'a, R: Fn(&str) -> Option<AgentId>> Parser<'a, R> {
             if agents.len() != 1 {
                 return self.err("K takes exactly one agent; use C or E for groups");
             }
-            return match self.modifier()? {
-                None => Ok(self.unary()?.known_by(agent)),
-                Some((alpha, None)) => Ok(self.unary()?.k_alpha(agent, alpha)),
-                Some((alpha, Some(beta))) => Ok(self.unary()?.k_interval(agent, alpha, beta)),
-            };
+            return Ok(Some(Prefix::Knows(agent, self.modifier()?)));
         }
-        if self.rest().starts_with("C{") {
-            self.pos += 1;
-            let agents = self.agent_list()?;
-            return match self.modifier()? {
-                None => Ok(self.unary()?.common(agents)),
-                Some((alpha, None)) => Ok(self.unary()?.common_alpha(agents, alpha)),
-                Some(_) => self.err("C supports ^a but not ^[a,b]"),
-            };
+        for (op, common) in [("C{", true), ("E{", false)] {
+            if self.rest().starts_with(op) {
+                self.pos += 1;
+                let agents = self.agent_list()?;
+                let alpha = match self.modifier()? {
+                    None => None,
+                    Some((alpha, None)) => Some(alpha),
+                    Some(_) if common => return self.err("C supports ^a but not ^[a,b]"),
+                    Some(_) => return self.err("E supports ^a but not ^[a,b]"),
+                };
+                return Ok(Some(match common {
+                    true => Prefix::Common(agents, alpha),
+                    false => Prefix::Everyone(agents, alpha),
+                }));
+            }
         }
-        if self.rest().starts_with("E{") {
-            self.pos += 1;
-            let agents = self.agent_list()?;
-            return match self.modifier()? {
-                None => Ok(self.unary()?.everyone(agents)),
-                Some((alpha, None)) => Ok(self.unary()?.everyone_alpha(agents, alpha)),
-                Some(_) => self.err("E supports ^a but not ^[a,b]"),
-            };
-        }
-        self.atom()
+        Ok(None)
     }
 
-    fn atom(&mut self) -> Result<Formula, ParseFormulaError> {
+    /// Applies one prefix operator to its parsed operand.
+    fn apply(&self, op: Prefix, (x, shape): Parsed) -> Result<Parsed, ParseFormulaError> {
+        match op {
+            Prefix::Not => self.build(shape.over(1, 0), || x.not()),
+            // true U φ.
+            Prefix::Eventually => self.build(shape.over(1, 1), || x.eventually()),
+            // ¬(true U ¬φ).
+            Prefix::Always => self.build(shape.over(3, 1), || x.always()),
+            Prefix::Next => self.build(shape.over(1, 0), || x.next()),
+            Prefix::Knows(agent, None) => self.build(shape.over(1, 0), || x.known_by(agent)),
+            // Kᵢ(Prᵢ(φ) ≥ α).
+            Prefix::Knows(agent, Some((alpha, None))) => {
+                self.build(shape.over(2, 0), || x.k_alpha(agent, alpha))
+            }
+            // Kᵢ(Prᵢ(φ) ≥ α ∧ Prᵢ(¬φ) ≥ 1 − β): φ twice.
+            Prefix::Knows(agent, Some((alpha, Some(beta)))) => {
+                let shape = Shape {
+                    depth: shape.depth + 4,
+                    nodes: shape.nodes.saturating_mul(2).saturating_add(5),
+                };
+                self.build(shape, || x.k_interval(agent, alpha, beta))
+            }
+            Prefix::Common(agents, None) => self.build(shape.over(1, 0), || x.common(agents)),
+            Prefix::Common(agents, Some(alpha)) => {
+                self.build(shape.over(1, 0), || x.common_alpha(agents, alpha))
+            }
+            // ∧ᵢ Kᵢ φ or ∧ᵢ Kᵢ(Prᵢ(φ) ≥ α): φ once per agent.
+            Prefix::Everyone(agents, None) => {
+                self.build(shape.copies(agents.len(), 1), || x.everyone(agents))
+            }
+            Prefix::Everyone(agents, Some(alpha)) => self
+                .build(shape.copies(agents.len(), 2), || {
+                    x.everyone_alpha(agents, alpha)
+                }),
+        }
+    }
+
+    fn atom(&mut self) -> Result<Parsed, ParseFormulaError> {
         self.skip_ws();
         if self.rest().starts_with("Pr{") {
             self.pos += 2;
@@ -310,27 +499,28 @@ impl<'a, R: Fn(&str) -> Option<AgentId>> Parser<'a, R> {
                 return self.err("Pr takes exactly one agent");
             }
             self.expect("(")?;
-            let inner = self.formula()?;
+            let (inner, shape) = self.nested(Self::formula)?;
             self.expect(")")?;
             self.skip_ws();
             if self.eat(">=") {
                 let alpha = self.rational()?;
-                return Ok(inner.pr_ge(agent, alpha));
+                return self.build(shape.over(1, 0), || inner.pr_ge(agent, alpha));
             }
             if self.eat("<=") {
+                // Prᵢ(¬φ) ≥ 1 − β.
                 let beta = self.rational()?;
-                return Ok(inner.pr_le(agent, beta));
+                return self.build(shape.over(2, 0), || inner.pr_le(agent, beta));
             }
             return self.err("expected >= or <= after Pr{..}(..)");
         }
         if self.eat_keyword("true") {
-            return Ok(Formula::True);
+            return Ok((Formula::True, Shape::LEAF));
         }
         if self.eat_keyword("false") {
-            return Ok(Formula::falsum());
+            return Ok((Formula::falsum(), Shape::LEAF.over(1, 0)));
         }
         if self.eat("(") {
-            let inner = self.formula()?;
+            let inner = self.nested(Self::formula)?;
             self.expect(")")?;
             return Ok(inner);
         }
@@ -340,13 +530,13 @@ impl<'a, R: Fn(&str) -> Option<AgentId>> Parser<'a, R> {
                 Some(end) => {
                     let name = &self.input[start..start + end];
                     self.pos = start + end + 1;
-                    return Ok(Formula::prop(name));
+                    return Ok((Formula::prop(name), Shape::LEAF));
                 }
                 None => return self.err("unterminated quoted proposition"),
             }
         }
         let name = self.ident()?;
-        Ok(Formula::prop(name))
+        Ok((Formula::prop(name), Shape::LEAF))
     }
 }
 
@@ -355,7 +545,9 @@ impl<'a, R: Fn(&str) -> Option<AgentId>> Parser<'a, R> {
 /// # Errors
 ///
 /// Returns [`ParseFormulaError`] with the failing byte offset for
-/// malformed input or unknown agents.
+/// malformed input, unknown agents, or a formula whose tree would nest
+/// deeper than [`MAX_FORMULA_DEPTH`] or hold more than
+/// [`MAX_FORMULA_NODES`] nodes.
 ///
 /// # Examples
 ///
@@ -376,10 +568,19 @@ pub fn parse_formula(
     input: &str,
     resolve: impl Fn(&str) -> Option<AgentId>,
 ) -> Result<Formula, ParseFormulaError> {
+    parse_shaped(input, resolve).map(|(f, _)| f)
+}
+
+/// [`parse_formula`], with the parsed tree's shape.
+fn parse_shaped(
+    input: &str,
+    resolve: impl Fn(&str) -> Option<AgentId>,
+) -> Result<Parsed, ParseFormulaError> {
     let mut p = Parser {
         input,
         pos: 0,
         resolve,
+        nesting: 0,
     };
     let f = p.formula()?;
     p.skip_ws();
@@ -574,6 +775,84 @@ mod tests {
                 parse_formula(&rendered, resolve).unwrap_or_else(|e| panic!("{rendered:?}: {e}"));
             assert_eq!(parsed, f, "round trip failed for {rendered:?}");
         }
+    }
+
+    /// The depth of a formula's tree, by recursion (test formulas are
+    /// shallow).
+    fn depth(f: &Formula) -> usize {
+        1 + match f {
+            Formula::True | Formula::Prop(_) => 0,
+            Formula::Not(x)
+            | Formula::Next(x)
+            | Formula::Knows(_, x)
+            | Formula::PrGe(_, _, x)
+            | Formula::Common(_, x)
+            | Formula::CommonGe(_, _, x) => depth(x),
+            Formula::And(xs) | Formula::Or(xs) => xs.iter().map(depth).max().unwrap_or(0),
+            Formula::Until(x, y) => depth(x).max(depth(y)),
+        }
+    }
+
+    #[test]
+    fn shapes_match_the_built_tree() {
+        for text in [
+            "x",
+            "false",
+            "!x & (y | true)",
+            "a -> b -> c",
+            "a <-> (b U c) <-> d",
+            "X <> [] x",
+            "K{A} x | K{A}^1/2 y",
+            "K{A}^[1/3,2/3] (x & y)",
+            "C{A,B} x & C{A,B}^1/2 y",
+            "E{A,B} x | E{A,B,A}^1/2 (x -> y)",
+            "Pr{B}(x | y) >= 1/2 & Pr{A}(K{B} x) <= 1/4",
+        ] {
+            let (f, shape) = parse_shaped(text, resolve).unwrap();
+            assert_eq!(
+                (shape.depth, shape.nodes),
+                (depth(&f), f.size()),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_depth_bound_is_exact() {
+        // `[]` spells three levels; `!`s make up the rest over a leaf.
+        let boxes = (MAX_FORMULA_DEPTH - 1) / 3;
+        let bangs = MAX_FORMULA_DEPTH - 1 - 3 * boxes;
+        let at = format!("{}{}x", "[]".repeat(boxes), "!".repeat(bangs));
+        let f = parse_formula(&at, resolve).unwrap_or_else(|e| panic!("at the bound: {e}"));
+        assert_eq!(depth(&f), MAX_FORMULA_DEPTH);
+        let past = format!("!{at}");
+        let e = parse_formula(&past, resolve).unwrap_err();
+        assert!(e.message.contains("deeper"), "{e}");
+        // Text nesting is bounded too: parentheses add no tree level,
+        // but the parser recurses through each.
+        let parens = MAX_FORMULA_DEPTH + 1;
+        let e = parse_formula(
+            &format!("{}x{}", "(".repeat(parens), ")".repeat(parens)),
+            resolve,
+        )
+        .unwrap_err();
+        assert!(e.message.contains("text nests deeper"), "{e}");
+        // Far past the bound, the parser stops at it.
+        assert!(parse_formula(&"!".repeat(100_000), resolve).is_err());
+    }
+
+    #[test]
+    fn copying_abbreviations_are_bounded_by_nodes() {
+        // Each interval copies its body: twenty nest into a tree of
+        // 6,291,451 nodes, refused before it is built.
+        let chain = format!("{}x", "K{A}^[1/3,2/3] ".repeat(20));
+        let e = parse_formula(&chain, resolve).unwrap_err();
+        assert!(e.message.contains("nodes"), "{e}");
+        let iffs = format!("x{}", " <-> x".repeat(20));
+        assert!(parse_formula(&iffs, resolve).is_err());
+        // Ten intervals (6,139 nodes) are fine.
+        let ten = format!("{}x", "K{A}^[1/3,2/3] ".repeat(10));
+        assert_eq!(parse(&ten).size(), 6_139);
     }
 
     #[test]

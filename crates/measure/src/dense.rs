@@ -19,8 +19,11 @@
 //!   the canonical assignments), no block can be straddled: every set
 //!   is measurable, inner = outer, and the measure is a weighted count
 //!   of the set's points in the sample. The kernel keeps only the
-//!   points, as word-sparse `(word, bits)` pairs grouped by block
-//!   weight, and a query is `Σ_g n_g · Σ popcount(bits & set[word])`.
+//!   points, grouped by block weight, each group as dense words over
+//!   its word range or as `(word, bits)` pairs, whichever is smaller
+//!   ([`WordGroups`]), and a query is
+//!   `Σ_g n_g · Σ popcount(bits & set[word])`: one contiguous
+//!   AND-popcount per dense group.
 //!
 //! Weights are likewise precomputed: every block weight `w_b = n_b / D`
 //! is expressed over one common denominator `D` (the lcm of the block
@@ -54,14 +57,14 @@
 //! range outside which the queried set is all-zero. Blocks whose word
 //! span misses the hint are skipped without scanning — their answer is
 //! `(inside = false, touched = false)` by construction — and the points
-//! layout counts only the pairs whose word lies inside the hint. The
+//! layout counts only the group words that lie inside the hint. The
 //! `measure.wide_blocks` counter books the blocks actually scanned, so
 //! a traced run shows both that the wide path ran and how many blocks
 //! the footprint skipped (the gap to `blocks × queries`), and
 //! `measure.point_query` books the queries the points layout answered.
 
 use crate::rat::gcd_u128;
-use crate::{BlockSpace, MeasureError, Rat};
+use crate::{BlockSpace, MeasureError, Rat, WordGroups};
 
 /// A precomputed word-mask kernel for one [`BlockSpace`].
 ///
@@ -76,8 +79,9 @@ use crate::{BlockSpace, MeasureError, Rat};
 /// 32 bytes (word range, arena offset, weight numerator), whatever the
 /// width of the span the sample covers. In the points layout a point
 /// costs at most one 12-byte `(word, bits)` pair, shared with the other
-/// points of its word and weight, plus 20 bytes per distinct weight, so
-/// at most 32 bytes where its block would cost 40.
+/// points of its word and weight — a group held as dense words costs no
+/// more than its pairs — plus 24 bytes per distinct weight, so at most
+/// 36 bytes where its block would cost 40.
 /// See [`DenseKernel::heap_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseKernel {
@@ -91,7 +95,7 @@ pub struct DenseKernel {
     /// by construction.
     total_num: u128,
     /// The words a query scans at most: the blocks layout's trace
-    /// arena length, or the points layout's pair count. Computed once
+    /// arena length, or the points layout's stored words. Computed once
     /// here so tracing a query costs one counter add.
     footprint_words: u64,
 }
@@ -122,17 +126,14 @@ struct Blocks {
     weight_num: Vec<u128>,
 }
 
-/// A single-point sample as word-sparse pairs grouped by block weight:
-/// group `g` holds the points of weight numerator `weight_num[g]`, as
-/// the pairs `[group_end[g − 1], group_end[g])` (from 0 for the first
-/// group), each a span-relative word in `words` and its bits in `bits`,
-/// in ascending word order.
+/// A single-point sample grouped by block weight: group `g` of
+/// `groups` holds the points of weight numerator `weight_num[g]`, as
+/// dense span-relative words or as `(word, bits)` pairs, whichever is
+/// smaller (see [`WordGroups`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Points {
     weight_num: Vec<u128>,
-    group_end: Vec<u32>,
-    words: Vec<u32>,
-    bits: Vec<u64>,
+    groups: WordGroups,
 }
 
 #[inline]
@@ -287,56 +288,40 @@ impl Points {
         // A sample arrives in point order, which is bit order, so with
         // one weight (the usual case) this sort only confirms it.
         keyed.sort_unstable();
-        // Groups and pairs are counted first, so each table is
-        // allocated once at its exact size.
+        // Each group's `(word, bits)` pairs, back to back; `starts`
+        // opens each group. The weights are counted first, so their
+        // table is allocated once at its exact size.
         let new_group = |i: usize| i == 0 || keyed[i].0 != keyed[i - 1].0;
-        let new_pair = |i: usize| new_group(i) || keyed[i].1 / 64 != keyed[i - 1].1 / 64;
-        let groups = (0..keyed.len()).filter(|&i| new_group(i)).count();
-        let pairs = (0..keyed.len()).filter(|&i| new_pair(i)).count();
-        let mut points = Points {
-            weight_num: Vec::with_capacity(groups),
-            group_end: Vec::with_capacity(groups),
-            words: Vec::with_capacity(pairs),
-            bits: Vec::with_capacity(pairs),
-        };
+        let mut group_num = Vec::with_capacity((0..keyed.len()).filter(|&i| new_group(i)).count());
+        let mut pairs: Vec<(u32, u64)> = Vec::new();
+        let mut starts = Vec::new();
         for (i, &(n, bit)) in keyed.iter().enumerate() {
+            let word = (bit / 64) as u32;
             if new_group(i) {
-                points.weight_num.push(n);
-                points.group_end.push(0);
+                group_num.push(n);
+                starts.push(pairs.len());
+                pairs.push((word, 0));
+            } else if pairs[pairs.len() - 1].0 != word {
+                pairs.push((word, 0));
             }
-            if new_pair(i) {
-                points.words.push((bit / 64) as u32);
-                points.bits.push(0);
-            }
-            *points.bits.last_mut().expect("a pair per point") |= 1u64 << (bit % 64);
-            *points.group_end.last_mut().expect("a group per point") = points.words.len() as u32;
+            pairs.last_mut().expect("a pair per point").1 |= 1u64 << (bit % 64);
         }
-        points
+        starts.push(pairs.len());
+        let groups = WordGroups::from_groups(starts.windows(2).map(|w| &pairs[w[0]..w[1]]));
+        Points {
+            weight_num: group_num,
+            groups,
+        }
     }
 
     /// `Σ_g n_g · |group g ∩ set|`: the weight numerator of the sample
-    /// points in the set. With a footprint hint, only the pairs whose
-    /// global word lies inside it are read (each group's words ascend,
-    /// so the range is two binary searches).
+    /// points in the set. With a footprint hint, only the group words
+    /// inside it are read.
     fn weight_in(&self, first_word: usize, words: &[u64], hint: Option<(usize, usize)>) -> u128 {
         let mut num: u128 = 0;
-        let mut start = 0;
-        for (&n, &end) in self.weight_num.iter().zip(&self.group_end) {
-            let end = end as usize;
-            let ws = &self.words[start..end];
-            let (lo, hi) = match hint {
-                Some((qlo, qhi)) => (
-                    ws.partition_point(|&w| first_word + (w as usize) < qlo),
-                    ws.partition_point(|&w| first_word + (w as usize) < qhi),
-                ),
-                None => (0, ws.len()),
-            };
-            let mut count = 0u64;
-            for (&w, &b) in ws[lo..hi].iter().zip(&self.bits[start + lo..start + hi]) {
-                count += u64::from((b & word_at(words, first_word + w as usize)).count_ones());
-            }
+        for (g, &n) in self.weight_num.iter().enumerate() {
+            let count = self.groups.group(g).count_in(words, first_word, hint);
             num += n * u128::from(count);
-            start = end;
         }
         num
     }
@@ -419,8 +404,8 @@ impl DenseKernel {
         // blocks as elements means every block is one point.
         let (layout, footprint_words) = if weight_num.len() == bits.len() {
             let points = Points::new(&bits, &space.block_of, &weight_num);
-            let pairs = points.words.len();
-            (Layout::Points(points), pairs)
+            let stored = points.groups.stored_words();
+            (Layout::Points(points), stored)
         } else {
             let blocks = Blocks::new(&bits, &space.block_of, weight_num);
             let footprint = blocks.traces.len();
@@ -443,7 +428,10 @@ impl DenseKernel {
     pub fn block_count(&self) -> usize {
         match &self.layout {
             Layout::Blocks(b) => b.weight_num.len(),
-            Layout::Points(p) => p.bits.iter().map(|b| b.count_ones() as usize).sum(),
+            Layout::Points(p) => (0..p.groups.len())
+                .flat_map(|g| p.groups.group(g).pairs())
+                .map(|(_, b)| b.count_ones() as usize)
+                .sum(),
         }
     }
 
@@ -456,8 +444,8 @@ impl DenseKernel {
 
     /// Heap bytes the kernel holds, for the one layout it holds: the
     /// footprint-only trace arena plus a fixed 32 bytes per block, or
-    /// the weighted `(word, bits)` pairs. Neither depends on the span
-    /// width.
+    /// the weight groups' words. The blocks layout does not depend on
+    /// the span width, and the points layout never exceeds its pairs.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         match &self.layout {
@@ -468,9 +456,7 @@ impl DenseKernel {
                     + b.weight_num.capacity() * size_of::<u128>()
             }
             Layout::Points(p) => {
-                p.weight_num.capacity() * size_of::<u128>()
-                    + (p.group_end.capacity() + p.words.capacity()) * size_of::<u32>()
-                    + p.bits.capacity() * size_of::<u64>()
+                p.weight_num.capacity() * size_of::<u128>() + p.groups.heap_bytes()
             }
         }
     }
@@ -1022,6 +1008,106 @@ mod tests {
         // One pair per occupied (word, weight), far below the blocks
         // layout's 32 B per block.
         assert!(kernel.heap_bytes() < 32 * kernel.block_count());
+    }
+
+    /// Two weights over single points, with the span starting at word
+    /// 1: weight 1/3 one point every 12 bits over words 3–12 (a dense
+    /// group), weight 1/7 five points over words 1–40 (a sparse group).
+    fn dense_and_sparse() -> (BlockSpace<u32>, DenseKernel) {
+        const SPARSE: [u32; 5] = [70, 100, 1000, 2000, 2600];
+        let elems: Vec<u32> = (3 * 64..13 * 64).step_by(12).chain(SPARSE).collect();
+        let space = BlockSpace::new(elems.iter().map(|&e| (e, e)), |e| {
+            if SPARSE.contains(e) {
+                rat!(1 / 7)
+            } else {
+                rat!(1 / 3)
+            }
+        })
+        .unwrap();
+        let kernel = DenseKernel::from_space(&space, |&e| Some(e as usize)).unwrap();
+        (space, kernel)
+    }
+
+    #[test]
+    fn dense_and_sparse_groups_match_generic() {
+        let (space, kernel) = dense_and_sparse();
+        let Layout::Points(points) = &kernel.layout else {
+            panic!("a space of single-point blocks must take the points layout");
+        };
+        let kinds: Vec<bool> = (0..points.groups.len())
+            .map(|g| matches!(points.groups.group(g), crate::GroupWords::Dense { .. }))
+            .collect();
+        // Groups ascend by weight numerator: 1/7 = 3/21, then 1/3 = 7/21.
+        assert_eq!(kinds, [false, true], "one sparse group, one dense");
+        assert_eq!(kernel.word_span(), (1, 40));
+        let sample = &space.elems;
+        let check = |set: &BTreeSet<u32>, hint: Option<(usize, usize)>| {
+            let words = words_of(set);
+            let at = format!("{hint:?} on {set:?}");
+            assert_eq!(
+                kernel.measure_words_in(&words, hint),
+                space.measure(set),
+                "{at}"
+            );
+            assert_eq!(
+                kernel.inner_measure_words_in(&words, hint),
+                space.inner_measure(set),
+                "{at}"
+            );
+            assert_eq!(
+                kernel.outer_measure_words_in(&words, hint),
+                space.outer_measure(set),
+                "{at}"
+            );
+            assert_eq!(
+                kernel.measure_interval_words_in(&words, hint),
+                space.measure_interval(set),
+                "{at}"
+            );
+            assert_eq!(
+                kernel.is_measurable_words_in(&words, hint),
+                space.is_measurable(set),
+                "{at}"
+            );
+        };
+        let mut rng = crate::Rng64::new(12);
+        for _ in 0..300 {
+            // A random subset of the sample, plus a stray bit off it.
+            let mut set: BTreeSet<u32> = sample
+                .iter()
+                .copied()
+                .filter(|_| rng.chance(1, 2))
+                .collect();
+            set.insert(rng.below(3000) as u32 | 1);
+            let words = words_of(&set);
+            let lo = words.iter().position(|&w| w != 0).unwrap();
+            let tight = (lo, words.iter().rposition(|&w| w != 0).unwrap() + 1);
+            for hint in [None, Some(tight), Some((0, 1000))] {
+                check(&set, hint);
+            }
+            // Hints that start or end inside the dense words 3–12, with
+            // the set cut to the hint.
+            for hint in [(5, 9), (3, 8), (7, 13), (0, 6), (9, 41)] {
+                let inside = set
+                    .iter()
+                    .copied()
+                    .filter(|&e| (hint.0..hint.1).contains(&(e as usize / 64)))
+                    .collect();
+                check(&inside, Some(hint));
+            }
+        }
+        // Never more than the same points as `(word, bits)` pairs: a
+        // weight and two group ends per group, 12 B per pair.
+        let pairs: BTreeSet<(bool, u32)> = sample
+            .iter()
+            .map(|&e| ((192..832).contains(&e), e / 64))
+            .collect();
+        let as_pairs = 2 * (size_of::<u128>() + 8) + 12 * pairs.len();
+        assert!(
+            kernel.heap_bytes() <= as_pairs,
+            "{} heap bytes exceed the {as_pairs} B of pairs",
+            kernel.heap_bytes()
+        );
     }
 
     #[test]

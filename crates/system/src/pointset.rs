@@ -44,6 +44,7 @@
 //! shift.
 
 use crate::ids::{PointId, TreeId};
+use kpa_measure::GroupWords;
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -541,21 +542,33 @@ impl PointSet {
         }
     }
 
-    /// In-place union with a word-sparse set given as `(word, bits)`
-    /// pairs: bit `b` of `bits` is the point with dense index
-    /// `64 · word + b`. Touches only the listed words, and the footprint
-    /// grows to cover them.
+    /// In-place union with one group of a [`WordGroups`]: bit `b` of
+    /// the group's word `w` is the point with dense index `64 · w + b`.
+    /// Touches only the group's words — a dense group's in one
+    /// contiguous OR — and the footprint grows to cover them.
     ///
     /// # Panics
     ///
     /// Panics if a word lies outside the universe.
-    pub fn union_word_pairs(&mut self, pairs: &[(usize, u64)]) {
-        let (mut lo, mut hi) = (usize::MAX, 0);
-        for &(k, bits) in pairs {
-            self.words[k] |= bits;
-            lo = lo.min(k);
-            hi = hi.max(k + 1);
-        }
+    ///
+    /// [`WordGroups`]: kpa_measure::WordGroups
+    pub fn union_group(&mut self, group: GroupWords<'_>) {
+        let (lo, hi) = match group {
+            GroupWords::Dense { first, bits } => {
+                wide::or_assign(&mut self.words[first..first + bits.len()], bits);
+                (first, first + bits.len())
+            }
+            GroupWords::Pairs { words, bits } => {
+                let (mut lo, mut hi) = (usize::MAX, 0);
+                for (&k, &b) in words.iter().zip(bits) {
+                    let k = k as usize;
+                    self.words[k] |= b;
+                    lo = lo.min(k);
+                    hi = hi.max(k + 1);
+                }
+                (lo, hi)
+            }
+        };
         if lo >= hi {
             return;
         }
@@ -1234,9 +1247,12 @@ mod tests {
         let ix = wide_idx();
         // Words 5 and 2 (out of order), then the tail word 6, whose
         // bits past point 399 must be dropped.
-        let pairs = [(5, 0b101), (2, 1 << 63), (6, u64::MAX)];
+        let (words, bits) = ([5, 2, 6], [0b101, 1 << 63, u64::MAX]);
         let mut s = PointSet::empty(Arc::clone(&ix));
-        s.union_word_pairs(&pairs);
+        s.union_group(GroupWords::Pairs {
+            words: &words,
+            bits: &bits,
+        });
         let mut expect = PointSet::empty(Arc::clone(&ix));
         expect.extend([320, 322, 191].map(|i| ix.point_at(i)));
         expect.extend((384..400).map(|i| ix.point_at(i)));
@@ -1244,10 +1260,25 @@ mod tests {
         assert_eq!(s.len(), 19);
         assert_eq!(s.footprint(), (2, 7));
         assert!(s.footprint_is_valid());
+        // The same points as dense words 2–6, zero words included.
+        let mut d = PointSet::empty(Arc::clone(&ix));
+        d.union_group(GroupWords::Dense {
+            first: 2,
+            bits: &[1 << 63, 0, 0, 0b101, u64::MAX],
+        });
+        assert_eq!(d, expect);
+        assert_eq!(d.footprint(), (2, 7));
+        assert!(d.footprint_is_valid());
         // Growing a non-empty footprint downward; no pairs is a no-op.
         let mut t = PointSet::from_points(Arc::clone(&ix), [pt(0, 39, 0)]);
-        t.union_word_pairs(&[(0, 1)]);
-        t.union_word_pairs(&[]);
+        t.union_group(GroupWords::Pairs {
+            words: &[0],
+            bits: &[1],
+        });
+        t.union_group(GroupWords::Pairs {
+            words: &[],
+            bits: &[],
+        });
         assert_eq!(t.footprint(), (0, 7));
         assert_eq!(t.len(), 2);
         assert!(t.footprint_is_valid());

@@ -86,8 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     println!(
         "shared artifact: 4 threads re-derived K_1(Pr_1(heads) = 1/2) \
-         from one Arc<ModelArtifact> ({} cached formulas)",
-        artifact.sat_cache_len()
+         from one Arc<ModelArtifact> ({} memoized subterms)",
+        artifact.subterm_memo_len()
     );
 
     println!("\nThe probability an agent should use depends on its opponent —");

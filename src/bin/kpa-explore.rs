@@ -224,8 +224,7 @@ fn run_shared(
     }
     println!(
         "shared:     {clients} threads × 1 artifact agreed with the serial model \
-         (sat cache: {} formulas, knows memo: {}, plans: {})",
-        artifact.sat_cache_len(),
+         (subterm memo: {}, plans: {})",
         artifact.subterm_memo_len(),
         artifact.plans_built(),
     );

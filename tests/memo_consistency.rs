@@ -12,10 +12,18 @@ mod common;
 
 use common::{arb_sync_spec, build, cases, prop_names};
 use kpa::assign::{Assignment, ProbAssignment};
-use kpa::logic::{Formula, Model};
+use kpa::logic::{Formula, Model, ModelArtifact};
 use kpa::measure::{rat, Rat};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Runs this file's tests one at a time: the trace counters are
+/// process-wide, and the exact counts below must see one test's calls.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Every formula in the family, sat-checked on `sys` twice — once on a
 /// memoized model, once on a memo-free model — returning the sizes from
@@ -45,6 +53,7 @@ fn sizes_memo_vs_fresh(sys: &System, formulas: &[Formula]) -> Vec<usize> {
 /// pass actually hits the cache (asserted via `subterm_memo_len`).
 #[test]
 fn walkthrough_sizes_are_memo_invariant() {
+    let _serial = serial();
     let p1 = AgentId(0);
     let p3 = AgentId(2);
     let group = [AgentId(0), AgentId(1)];
@@ -112,6 +121,7 @@ fn walkthrough_sizes_are_memo_invariant() {
 /// it contains, then the reverse pairing.
 #[test]
 fn interleaved_shared_subterms_match_fresh() {
+    let _serial = serial();
     cases("memo_interleaving", |rng| {
         let spec = arb_sync_spec(rng);
         let sys = build(&spec);
@@ -157,6 +167,7 @@ fn interleaved_shared_subterms_match_fresh() {
 /// the per-model and per-plan state, which is private to this model.
 #[test]
 fn interleaved_pr_ge_thresholds_hit_the_plan() {
+    let _serial = serial();
     // Tracing must be on for the registry to record anything; it is
     // observationally invisible (see tests/trace_invisibility.rs).
     kpa::trace::set_enabled(true);
@@ -202,6 +213,7 @@ fn interleaved_pr_ge_thresholds_hit_the_plan() {
 /// `logic.sat_cache_miss`, and asking again is a `logic.sat_cache_hit`.
 #[test]
 fn the_formula_cache_counts_a_miss_then_a_hit() {
+    let _serial = serial();
     kpa::trace::set_enabled(true);
     let registry = kpa::trace::registry();
 
@@ -227,4 +239,57 @@ fn the_formula_cache_counts_a_miss_then_a_hit() {
         second.get("logic.sat_cache_hit").copied().unwrap_or(0) > 0,
         "the repeat must hit the formula cache"
     );
+}
+
+/// After `pr_ge_family`, each member is one memo lookup away under both
+/// of its spellings: the structural `Pr_i ≥ α φ` that `sat` compiles
+/// (the same `Arc`, one `logic.sat_cache_hit`, no node evaluated) and
+/// the set-level `Pr_i ≥ α ⌜sat(φ)⌝` that `pr_ge_set` quotes (the same
+/// set, one subterm-memo hit, no sweep).
+#[test]
+fn family_members_are_filed_under_both_spellings() {
+    let _serial = serial();
+    kpa::trace::set_enabled(true);
+    let registry = kpa::trace::registry();
+
+    let sys = async_coin_tosses(4).expect("builds");
+    let artifact = ModelArtifact::new(Arc::new(sys), Assignment::post());
+    let ctx = artifact.ctx();
+    let p2 = AgentId(1);
+    let phi = Formula::prop("recent=h");
+    let alphas = [rat!(1 / 4), rat!(1 / 2), rat!(3 / 4), Rat::ONE];
+    let family = ctx.pr_ge_family(p2, &alphas, &phi).expect("model checks");
+    let body = ctx.sat(&phi).expect("model checks");
+    let count = |delta: &std::collections::BTreeMap<String, u64>, name: &str| {
+        delta.get(name).copied().unwrap_or(0)
+    };
+    for (set, &alpha) in family.iter().zip(&alphas) {
+        let before = registry.snapshot();
+        let member = ctx
+            .sat(&phi.clone().pr_ge(p2, alpha))
+            .expect("model checks");
+        let delta = registry.snapshot().delta_counters(&before);
+        assert!(
+            Arc::ptr_eq(set, &member),
+            "Pr ≥ {alpha} is not the family's set"
+        );
+        assert_eq!(count(&delta, "logic.sat_cache_hit"), 1);
+        assert_eq!(count(&delta, "logic.sat_cache_miss"), 0);
+        assert_eq!(
+            count(&delta, "logic.sat_eval"),
+            0,
+            "Pr ≥ {alpha} evaluated a node"
+        );
+
+        let before = registry.snapshot();
+        let raw = ctx.pr_ge_set(p2, alpha, &body).expect("model checks");
+        let delta = registry.snapshot().delta_counters(&before);
+        assert_eq!(raw, **set, "the set-level Pr ≥ {alpha} differs");
+        assert_eq!(count(&delta, "logic.subterm_memo.hit"), 1);
+        assert_eq!(
+            count(&delta, "logic.plan_hit"),
+            0,
+            "Pr ≥ {alpha} swept again"
+        );
+    }
 }

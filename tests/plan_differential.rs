@@ -27,7 +27,7 @@ use kpa::assign::{AssignError, Assignment, ProbAssignment};
 use kpa::asynchrony::CutClass;
 use kpa::betting::{inner_expected_winnings, BetRule, BettingGame, Strategy};
 use kpa::logic::{Formula, LogicError, Model};
-use kpa::measure::{rat, Rat, Rng64};
+use kpa::measure::{rat, GroupWords, Rat, Rng64};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, PointId, System, TreeId};
 use std::sync::Arc;
@@ -53,8 +53,9 @@ fn canonical_assignments(sys: &System) -> Vec<Assignment> {
 /// Core pointer/value/error identity for one `(assignment, agent)`:
 /// the plan's table entries are the *same `Arc`s* the naive per-point
 /// path hands out, entries are absent exactly where the naive path
-/// errors, and plan statistics satisfy the batching contract.
-fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: AgentId) {
+/// errors, and plan statistics satisfy the batching contract. Returns
+/// how many classes the plan holds as dense words and as pairs.
+fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: AgentId) -> [usize; 2] {
     let pa = ProbAssignment::new(sys, assignment.clone());
     let plan = pa.sample_plan(agent);
     assert_eq!(plan.agent(), agent);
@@ -95,13 +96,43 @@ fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: Agent
     // The class layout: pairwise disjoint classes in first-point order,
     // each equal to its sample (uniformity) and holding the `Arc` that
     // `space(c)` returns at every one of its points; together exactly
-    // the covered points, and `unplanned()` lists the rest.
+    // the covered points, and `unplanned()` lists the rest. Each class
+    // is rebuilt from its stored words, by the sweep's union and word
+    // by word, and neither encoding is larger than the class's pairs.
     let mut union = sys.empty_points();
     let mut last_first = None;
+    let mut encodings = [0, 0];
     for k in 0..plan.classes() {
-        let (space, pairs) = plan.class(k);
+        let (space, points) = plan.class(k);
         let mut class = sys.empty_points();
-        class.union_word_pairs(pairs);
+        class.union_group(points);
+        assert!(
+            class.footprint_is_valid(),
+            "class {k}'s union left a stale footprint"
+        );
+        let mut by_word = sys.empty_points();
+        let universe = Arc::clone(by_word.universe());
+        let mut pairs = 0;
+        for (word, bits) in points.pairs() {
+            pairs += 1;
+            for b in (0..64).filter(|b| bits >> b & 1 == 1) {
+                by_word.insert(universe.point_at(64 * word + b));
+            }
+        }
+        assert_eq!(class, by_word, "class {k}'s union differs from its words");
+        match points {
+            GroupWords::Dense { bits, .. } => {
+                encodings[0] += 1;
+                assert!(
+                    4 + 8 * bits.len() <= 12 * pairs,
+                    "class {k} is dense but larger"
+                );
+            }
+            GroupWords::Pairs { words, .. } => {
+                encodings[1] += 1;
+                assert_eq!(words.len(), pairs);
+            }
+        }
         let first = class.first().expect("classes are nonempty");
         assert!(
             last_first < Some(first),
@@ -141,6 +172,7 @@ fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: Agent
     );
     // The plan is built once per agent and shared thereafter.
     assert!(Arc::ptr_eq(&plan, &pa.sample_plan(agent)));
+    encodings
 }
 
 #[test]
@@ -152,6 +184,21 @@ fn plan_spaces_are_the_cached_spaces_on_walkthroughs() {
             }
         }
     }
+    // The asynchronous tosses, wide enough for dense classes, meet both
+    // encodings.
+    let sys = async_coin_tosses(6).expect("builds");
+    let mut encodings = [0, 0];
+    for assignment in canonical_assignments(&sys) {
+        for agent in (0..sys.agent_count()).map(AgentId) {
+            let [dense, pairs] = assert_plan_matches_naive(&sys, &assignment, agent);
+            encodings[0] += dense;
+            encodings[1] += pairs;
+        }
+    }
+    assert!(
+        encodings[0] > 0 && encodings[1] > 0,
+        "classes by encoding: {encodings:?}"
+    );
 }
 
 #[test]

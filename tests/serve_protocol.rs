@@ -426,6 +426,68 @@ fn a_spec_whose_run_probabilities_overflow_gets_an_error() {
     server.shutdown();
 }
 
+/// A `sat` item over `formula`.
+fn sat_item(formula: String) -> QueryItem {
+    QueryItem {
+        id: 1,
+        kind: QueryKind::Sat { formula },
+    }
+}
+
+#[test]
+fn formulas_past_the_parser_bounds_get_parse_error() {
+    // Each within `max_frame`; before the bounds, the first aborted the
+    // process on the connection thread's stack, and the last built a
+    // tree of 6,291,451 nodes.
+    let mut server = Server::bind(ServeConfig::default()).expect("bind");
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    c.load_named("secret-coin", "post").expect("load");
+    let want = c.query(&[sat_item("c=h".into())]).expect("answered");
+    for formula in [
+        format!("{}c=h", "!".repeat(100_000)),
+        format!("{}c=h{}", "(".repeat(100_000), ")".repeat(100_000)),
+        format!("{}c=h", "K{p1}^[1/3,2/3] ".repeat(20)),
+    ] {
+        match c.query(&[sat_item(formula)]) {
+            Err(ClientError::Server { code, fatal, .. }) => {
+                assert_eq!((code.as_str(), fatal), ("parse_error", false));
+            }
+            other => panic!("expected a parse_error frame, got {other:?}"),
+        }
+        // The same connection still answers.
+        assert_eq!(c.query(&[sat_item("c=h".into())]).expect("answered"), want);
+    }
+    // So does a fresh one.
+    let mut fresh = connect(&server);
+    fresh.hello().expect("hello");
+    fresh.load_named("secret-coin", "post").expect("load");
+    assert_eq!(
+        fresh.query(&[sat_item("c=h".into())]).expect("answered"),
+        want
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_formula_at_the_depth_bound_is_answered() {
+    // `[]` spells three tree levels, the most per operator that does
+    // not copy its operand: 21 of them over a leaf nest exactly
+    // MAX_FORMULA_DEPTH deep. □□φ = □φ, so the answer is □φ's.
+    let boxes = (kpa::logic::MAX_FORMULA_DEPTH - 1) / 3;
+    assert_eq!(3 * boxes + 1, kpa::logic::MAX_FORMULA_DEPTH);
+    let mut server = Server::bind(tight_config()).expect("bind");
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    c.load_named("async-coins:4", "post").expect("load");
+    let deep = c
+        .query(&[sat_item(format!("{}recent=h", "[]".repeat(boxes)))])
+        .expect("answered at the bound");
+    let shallow = c.query(&[sat_item("[]recent=h".into())]).expect("answered");
+    assert_eq!(deep, shallow);
+    server.shutdown();
+}
+
 #[test]
 fn idle_sessions_are_reaped() {
     let mut server = Server::bind(tight_config()).expect("bind");
