@@ -28,9 +28,10 @@ type DenseQuery<'a> = (&'a DenseKernel, &'a [u64], Option<(usize, usize)>);
 /// Built by `ProbAssignment::space`; the kernel maps each sample point
 /// to its dense [`PointIndex`] bit, matching the word layout of every
 /// `PointSet` of the same system. `kernel` is `None` (all queries take
-/// the generic path) only if the weight table would overflow `i128`
-/// range — impossible for the rational run probabilities the paper's
-/// systems produce, but guarded nonetheless.
+/// the generic path) if the weight table would overflow `i128` range —
+/// impossible for the rational run probabilities the paper's systems
+/// produce, but guarded nonetheless — or if the layout is not injective
+/// (a sample point outside the universe, or two points on one bit).
 #[derive(Debug, Clone)]
 pub struct DensePointSpace {
     space: PointSpace,

@@ -14,8 +14,9 @@ use crate::error::AssignError;
 use crate::memo::Memo;
 use crate::plan::{PlanBuilder, SamplePlan};
 use crate::sample::Assignment;
-use kpa_measure::{BlockSpace, MemberSet, Rat};
+use kpa_measure::{BlockSpace, GroupWords, MemberSet, Rat};
 use kpa_system::{AgentId, PointId, PointSet, System};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// The probability space the construction of Proposition 2 assigns to an
@@ -187,36 +188,69 @@ impl AssignCore {
         Arc::clone(slot.get_or_init(|| Arc::new(self.build_plan(sys, agent))))
     }
 
-    /// [`AssignCore::space`] through the plan when available: one table
-    /// lookup on the warm path, with per-point fallback (and hence
-    /// exact naive errors) where the plan has no entry.
+    /// The one walk over `agent`'s sample spaces behind every decision
+    /// the paper makes per space — `Prᵢ ≥ α`, bet safety, the checks
+    /// of Theorem 7 and Propositions 6 and 10. `decide` runs once per
+    /// distinct space; `absorb` then takes that space's points with
+    /// its verdict.
+    ///
+    /// With `plan` on, the plan's classes go first, in first-point
+    /// order, each absorbed as its stored words; then the points the
+    /// plan leaves out, in ascending order. With `plan` off, every
+    /// point takes that second path: its space comes from
+    /// [`AssignCore::space`], is decided on first sight (a sweep-local
+    /// map holds each verdict), and the point is absorbed alone, as one
+    /// `(word, bits)` pair. The classes allocate nothing.
     ///
     /// # Errors
     ///
-    /// As [`AssignCore::space`].
-    pub fn planned_space(
+    /// The first error `decide` returns, or the space-construction
+    /// error of the first point whose space fails to build — the point
+    /// a per-point sweep in ascending order would report.
+    pub fn sweep_spaces<V, E: From<AssignError>>(
         &self,
         sys: &System,
         agent: AgentId,
-        c: PointId,
-    ) -> Result<Arc<DensePointSpace>, AssignError> {
-        let plan = self.sample_plan(sys, agent);
-        match plan.space(c) {
-            Some(space) => {
-                kpa_trace::count!("assign.planned_space_hit");
-                Ok(Arc::clone(space))
+        plan: bool,
+        mut decide: impl FnMut(&Arc<DensePointSpace>) -> Result<V, E>,
+        mut absorb: impl FnMut(GroupWords<'_>, &V),
+    ) -> Result<(), E> {
+        let plan = plan.then(|| self.sample_plan(sys, agent));
+        if let Some(plan) = &plan {
+            for k in 0..plan.classes() {
+                let (space, points) = plan.class(k);
+                absorb(points, &decide(space)?);
             }
-            None => {
-                kpa_trace::count!("assign.planned_space_fallback");
-                self.space(sys, agent, c)
-            }
+        }
+        let index = sys.point_index();
+        let mut verdicts: HashMap<*const DensePointSpace, V> = HashMap::new();
+        let mut alone = |c: PointId| -> Result<(), E> {
+            let space = self.space(sys, agent, c)?;
+            let verdict = match verdicts.entry(Arc::as_ptr(&space)) {
+                Entry::Occupied(seen) => seen.into_mut(),
+                Entry::Vacant(fresh) => fresh.insert(decide(&space)?),
+            };
+            let i = index.index_of(c);
+            let word = [u32::try_from(i / 64).expect("point words fit u32")];
+            absorb(
+                GroupWords::Pairs {
+                    words: &word,
+                    bits: &[1 << (i % 64)],
+                },
+                verdict,
+            );
+            Ok(())
+        };
+        match &plan {
+            Some(plan) => plan.unplanned().try_for_each(&mut alone),
+            None => sys.points().try_for_each(&mut alone),
         }
     }
 
     /// Approximate heap bytes the core holds: every cached space (the
     /// generic space and its dense kernel) with its sample key, and the
-    /// built plans' slots, class lists and class arenas. The plans share
-    /// the cache's spaces, so each space is counted once.
+    /// built plans' class lists, class words and unplanned points. The
+    /// plans share the cache's spaces, so each space is counted once.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let entry =
@@ -357,19 +391,22 @@ impl<'s> ProbAssignment<'s> {
         self.core.sample_plan(self.sys, agent)
     }
 
-    /// [`ProbAssignment::space`] through the plan when available: one
-    /// table lookup on the warm path, with per-point fallback (and
-    /// hence exact naive errors) where the plan has no entry.
+    /// [`AssignCore::sweep_spaces`] over this assignment's system: one
+    /// `decide` per distinct space of `agent`, and each space's points
+    /// absorbed with its verdict.
     ///
     /// # Errors
     ///
-    /// As [`ProbAssignment::space`].
-    pub fn planned_space(
+    /// As [`AssignCore::sweep_spaces`].
+    pub fn sweep_spaces<V, E: From<AssignError>>(
         &self,
         agent: AgentId,
-        c: PointId,
-    ) -> Result<Arc<DensePointSpace>, AssignError> {
-        self.core.planned_space(self.sys, agent, c)
+        plan: bool,
+        decide: impl FnMut(&Arc<DensePointSpace>) -> Result<V, E>,
+        absorb: impl FnMut(GroupWords<'_>, &V),
+    ) -> Result<(), E> {
+        self.core
+            .sweep_spaces(self.sys, agent, plan, decide, absorb)
     }
 
     /// `μ_ic(S_ic(φ))` for a measurable fact: the probability, according
@@ -713,6 +750,34 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "uniform classes share one space");
     }
 
+    /// Every point the sweep absorbs, with the space its verdict came
+    /// from (the verdict here is the space itself); a point absorbed
+    /// twice fails.
+    fn swept_spaces(
+        pa: &ProbAssignment<'_>,
+        agent: AgentId,
+        plan: bool,
+    ) -> Result<Vec<(PointId, Arc<DensePointSpace>)>, AssignError> {
+        let index = pa.system().point_index();
+        let mut seen = pa.system().empty_points();
+        let mut out = Vec::new();
+        pa.sweep_spaces(
+            agent,
+            plan,
+            |space| Ok::<_, AssignError>(Arc::clone(space)),
+            |points, space| {
+                for (word, bits) in points.pairs() {
+                    for b in (0..64).filter(|b| bits >> b & 1 == 1) {
+                        let c = index.point_at(64 * word + b);
+                        assert!(seen.insert(c), "{c:?} absorbed twice");
+                        out.push((c, Arc::clone(space)));
+                    }
+                }
+            },
+        )?;
+        Ok(out)
+    }
+
     #[test]
     fn sample_plan_matches_per_point_spaces() {
         let sys = intro_system();
@@ -723,10 +788,21 @@ mod tests {
         assert_eq!(plan.covered(), plan.point_count());
         assert_eq!(plan.extractions(), plan.classes());
         assert!(plan.extractions() < sys.point_count(), "batching pays");
-        for c in sys.points() {
-            let naive = post.space(p1, c).unwrap();
-            assert!(Arc::ptr_eq(plan.space(c).unwrap(), &naive));
-            assert!(Arc::ptr_eq(&post.planned_space(p1, c).unwrap(), &naive));
+        for k in 0..plan.classes() {
+            let (space, points) = plan.class(k);
+            for (word, bits) in points.pairs() {
+                for b in (0..64).filter(|b| bits >> b & 1 == 1) {
+                    let c = sys.point_index().point_at(64 * word + b);
+                    assert!(Arc::ptr_eq(space, &post.space(p1, c).unwrap()));
+                }
+            }
+        }
+        for plan in [true, false] {
+            let swept = swept_spaces(&post, p1, plan).unwrap();
+            assert_eq!(swept.len(), sys.point_count());
+            for (c, space) in swept {
+                assert!(Arc::ptr_eq(&space, &post.space(p1, c).unwrap()));
+            }
         }
         assert!(Arc::ptr_eq(&plan, &post.sample_plan(p1)), "plan is cached");
         let dbg = format!("{plan:?}");
@@ -742,11 +818,12 @@ mod tests {
         assert_eq!(plan.covered(), 0);
         assert_eq!(plan.classes(), 0);
         assert_eq!(plan.extractions(), sys.point_count());
-        assert!(plan.space(pt(0, 0, 0)).is_none());
-        // The fallback reproduces the exact naive error.
+        assert!(plan.unplanned().eq(sys.points()));
+        // The fallback reproduces the exact naive error of the first
+        // point.
         assert!(matches!(
-            empty.planned_space(AgentId(0), pt(0, 0, 0)),
-            Err(AssignError::Req2Violated { .. })
+            swept_spaces(&empty, AgentId(0), true),
+            Err(AssignError::Req2Violated { point, .. }) if point == pt(0, 0, 0)
         ));
 
         // A well-defined custom assignment still canonicalizes repeated
@@ -761,9 +838,10 @@ mod tests {
         assert_eq!(plan.covered(), sys.point_count());
         assert_eq!(plan.extractions(), sys.point_count());
         assert!(plan.classes() < plan.extractions(), "shared-arc dedup");
-        for c in sys.points() {
-            let naive = diag.space(AgentId(0), c).unwrap();
-            assert!(Arc::ptr_eq(plan.space(c).unwrap(), &naive));
+        let swept = swept_spaces(&diag, AgentId(0), true).unwrap();
+        assert_eq!(swept.len(), sys.point_count());
+        for (c, space) in swept {
+            assert!(Arc::ptr_eq(&space, &diag.space(AgentId(0), c).unwrap()));
         }
     }
 

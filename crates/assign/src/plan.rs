@@ -1,24 +1,25 @@
 //! Batched per-class sample plans.
 //!
-//! A [`SamplePlan`] maps every point of the system, for one
-//! `(agent, assignment)` pair, to its induced, cache-canonicalized
-//! probability space (where the assignment is well defined), and groups
-//! the points by space into **classes**. The point of the plan is to
-//! move the *sample extraction* — the word-wise bitset intersections of
+//! A [`SamplePlan`] groups the points of the system, for one
+//! `(agent, assignment)` pair, into **classes** of points sharing one
+//! induced, cache-canonicalized probability space (where the assignment
+//! is well defined). The point of the plan is to move the *sample
+//! extraction* — the word-wise bitset intersections of
 //! [`Assignment::sample`](crate::Assignment::sample) plus the cache-key
-//! hash of the resulting sample — off the hot path of `pr_ge`-style
-//! sweeps, and to let those sweeps treat a class as one unit: one
-//! inner measure, then one word-wise union of the class's points into
-//! every threshold set it passes.
+//! hash of the resulting sample — off the hot path of the sweeps, and to
+//! let them treat a class as one unit: one decision per space, then one
+//! word-wise union of the class's points into every set it belongs to.
+//! [`AssignCore::sweep_spaces`](crate::AssignCore::sweep_spaces) is the
+//! one walk over a plan; nothing maps a single point to its class.
 //!
 //! # Layout
 //!
-//! * one `u32` **slot** per point (dense [`PointIndex`] order): the
-//!   index of the point's class, or a sentinel for an unplanned point;
 //! * the **class list**: each class's space, in first-point order;
 //! * the **class words**: every class's points as one group of a
 //!   [`WordGroups`] — dense words over the class's word range, or
-//!   `(word, bits)` pairs, whichever is smaller — class after class.
+//!   `(word, bits)` pairs, whichever is smaller — class after class;
+//! * the **unplanned points**, ascending: empty for every canonical
+//!   plan.
 //!
 //! # Why batching whole classes is exact
 //!
@@ -41,12 +42,12 @@
 //! the sample's, and the classes partition the points, so a single
 //! ascending pass that skips already-planned points performs exactly
 //! one extraction and one space construction (cache hit or build) per
-//! class, filing the sample's points into the class word by word. A
-//! final pass over the slots gathers every class's words, and each
-//! class is encoded once, in arrays allocated at their exact size.
-//! Points where the assignment
-//! violates REQ1/REQ2 are left unplanned, so fallback paths reproduce
-//! the exact per-point errors of the unplanned code.
+//! class, filing the sample's points into the class word by word (the
+//! builder's per-point slots). A final pass over the slots gathers every
+//! class's words, and each class is encoded once, in arrays allocated at
+//! their exact size; the slots are dropped. Points where the assignment
+//! violates REQ1/REQ2 are left unplanned, so the sweep's per-point path
+//! reproduces the exact per-point errors of the unplanned code.
 //!
 //! [`Assignment::Custom`](crate::Assignment::Custom) closures carry no
 //! uniformity guarantee, so their plans are built per point (still
@@ -56,11 +57,9 @@
 //!
 //! The spaces in the plan are the *same `Arc`s* the per-point
 //! [`ProbAssignment::space`](crate::ProbAssignment::space) cache hands
-//! out (the plan builder goes through that cache), so anything keyed by
-//! a space's address — such as the sweep-local verdict map of
-//! `kpa-logic`'s unplanned fallback — sees identical keys whether a
-//! space arrived via the plan or via the naive path.
-//! `tests/plan_differential.rs` pins this with `Arc::ptr_eq`.
+//! out (the plan builder goes through that cache), so a verdict decided
+//! on a class's space is the verdict of each of its points' naive
+//! spaces. `tests/plan_differential.rs` pins this with `Arc::ptr_eq`.
 
 use crate::dense::DensePointSpace;
 use kpa_measure::{GroupWords, WordGroups};
@@ -69,46 +68,34 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// The slot of a point the plan leaves unplanned.
+/// The builder's slot of a point it has not planned (yet).
 const UNPLANNED: u32 = u32::MAX;
 
-/// The per-point spaces of one agent under one sample-space
-/// assignment, grouped into classes of points sharing a space. Built
-/// by [`ProbAssignment::sample_plan`](crate::ProbAssignment::sample_plan);
+/// One agent's sample spaces under one sample-space assignment, as
+/// classes of points sharing a space. Built by
+/// [`ProbAssignment::sample_plan`](crate::ProbAssignment::sample_plan);
 /// immutable (and hence freely shareable across query threads) once
 /// built.
 pub struct SamplePlan {
     agent: AgentId,
     index: Arc<PointIndex>,
-    /// Per point: its class, or `UNPLANNED`.
-    slots: Vec<u32>,
     /// Per class, in first-point order: its space.
     spaces: Vec<Arc<DensePointSpace>>,
     /// Group `k` holds class `k`'s points.
     words: WordGroups,
+    /// The points no class holds, ascending.
+    unplanned: Vec<PointId>,
     extractions: usize,
-    covered: usize,
     batched: bool,
 }
 
 impl SamplePlan {
-    /// The planned space at `c`, if the assignment is well defined
-    /// there (REQ1+REQ2 hold) and `c` belongs to the plan's universe.
-    /// `None` means the caller must fall back to the per-point path —
-    /// which reproduces the exact error the naive code would report.
-    #[must_use]
-    pub fn space(&self, c: PointId) -> Option<&Arc<DensePointSpace>> {
-        let slot = *self.slots.get(self.index.try_index_of(c)?)?;
-        // `UNPLANNED` is past every class.
-        self.spaces.get(slot as usize)
-    }
-
     /// Class `k` (of [`classes`](SamplePlan::classes), in first-point
     /// order): its space, and its points as dense words or `(word, bits)`
     /// pairs — bit `b` of word `w` is the point with dense index
     /// `64 · w + b`. The classes are pairwise disjoint, together hold
-    /// exactly the planned points, and [`space`](SamplePlan::space)
-    /// returns class `k`'s space at each of its points.
+    /// exactly the planned points, and class `k`'s space is the cached
+    /// space at each of its points.
     ///
     /// # Panics
     ///
@@ -120,18 +107,7 @@ impl SamplePlan {
 
     /// The points the plan leaves unplanned, in ascending order.
     pub fn unplanned(&self) -> impl Iterator<Item = PointId> + '_ {
-        // A plan covering every point (every canonical plan) skips the
-        // scan, which every sweep would otherwise pay.
-        let slots = if self.covered == self.slots.len() {
-            &[][..]
-        } else {
-            &self.slots[..]
-        };
-        slots
-            .iter()
-            .enumerate()
-            .filter(|&(_, &slot)| slot == UNPLANNED)
-            .map(|(i, _)| self.index.point_at(i))
+        self.unplanned.iter().copied()
     }
 
     /// The agent the plan was built for.
@@ -140,7 +116,7 @@ impl SamplePlan {
         self.agent
     }
 
-    /// The point universe the slots are indexed by.
+    /// The point universe the class words are laid out over.
     #[must_use]
     pub fn universe(&self) -> &Arc<PointIndex> {
         &self.index
@@ -165,13 +141,13 @@ impl SamplePlan {
     /// Number of planned points.
     #[must_use]
     pub fn covered(&self) -> usize {
-        self.covered
+        self.point_count() - self.unplanned.len()
     }
 
     /// Total number of points in the plan's universe.
     #[must_use]
     pub fn point_count(&self) -> usize {
-        self.slots.len()
+        self.index.total()
     }
 
     /// Whether the build used the batched class-fill path (canonical
@@ -181,14 +157,14 @@ impl SamplePlan {
         self.batched
     }
 
-    /// Heap bytes of the slots, the class list and the class words (the
-    /// spaces themselves belong to the space cache and are counted
-    /// there).
+    /// Heap bytes of the class list, the class words and the unplanned
+    /// points (the spaces themselves belong to the space cache and are
+    /// counted there).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * size_of::<u32>()
-            + self.spaces.capacity() * size_of::<Arc<DensePointSpace>>()
+        self.spaces.capacity() * size_of::<Arc<DensePointSpace>>()
             + self.words.heap_bytes()
+            + self.unplanned.capacity() * size_of::<PointId>()
     }
 }
 
@@ -196,8 +172,8 @@ impl fmt::Debug for SamplePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SamplePlan")
             .field("agent", &self.agent)
-            .field("points", &self.slots.len())
-            .field("covered", &self.covered)
+            .field("points", &self.point_count())
+            .field("covered", &self.covered())
             .field("classes", &self.spaces.len())
             .field("stored_words", &self.words.stored_words())
             .field("extractions", &self.extractions)
@@ -208,12 +184,13 @@ impl fmt::Debug for SamplePlan {
 
 /// A plan under construction: the assignment core walks the points in
 /// ascending order and files each newly planned point into its space's
-/// class; [`PlanBuilder::finish`] then encodes each class's words.
+/// class, in one `u32` slot per point (the class, or `UNPLANNED`);
+/// [`PlanBuilder::finish`] then encodes each class's words and lists the
+/// unplanned points.
 pub(crate) struct PlanBuilder {
     slots: Vec<u32>,
     spaces: Vec<Arc<DensePointSpace>>,
     by_space: HashMap<*const DensePointSpace, u32>,
-    covered: usize,
 }
 
 impl PlanBuilder {
@@ -223,7 +200,6 @@ impl PlanBuilder {
             slots: vec![UNPLANNED; points],
             spaces: Vec::new(),
             by_space: HashMap::new(),
-            covered: 0,
         }
     }
 
@@ -244,7 +220,6 @@ impl PlanBuilder {
                 rest &= rest - 1;
                 if *slot == UNPLANNED {
                     *slot = class;
-                    self.covered += 1;
                 }
             }
         }
@@ -254,7 +229,6 @@ impl PlanBuilder {
     /// per-point fill of custom assignments).
     pub(crate) fn fill_point(&mut self, space: Arc<DensePointSpace>, i: usize) {
         self.slots[i] = self.class_of(space);
-        self.covered += 1;
     }
 
     /// The class of `space`, opened (last, hence in first-point order)
@@ -276,8 +250,8 @@ impl PlanBuilder {
     /// Encodes the classes' words from the slots: one pass counts each
     /// class's occupied words, a second writes them as `(word, bits)`
     /// pairs into one scratch arena, and [`WordGroups::from_groups`]
-    /// encodes each class from its pairs. No per-class buffer, and not
-    /// the scratch arena, outlives the build.
+    /// encodes each class from its pairs. No per-class buffer, not the
+    /// scratch arena and not the slots outlive the build.
     pub(crate) fn finish(
         mut self,
         agent: AgentId,
@@ -322,15 +296,21 @@ impl PlanBuilder {
             }
         }
         let words = WordGroups::from_groups(offsets.windows(2).map(|w| &pairs[w[0]..w[1]]));
+        let unplanned = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot == UNPLANNED)
+            .map(|(i, _)| index.point_at(i))
+            .collect();
         self.spaces.shrink_to_fit();
         SamplePlan {
             agent,
             index,
-            slots: self.slots,
             spaces: self.spaces,
             words,
+            unplanned,
             extractions,
-            covered: self.covered,
             batched,
         }
     }

@@ -19,17 +19,16 @@
 //! For every class, [`CutClass::bounds`] computes the infimum and
 //! supremum of the cut-conditioned probability of a fact. The bounds
 //! use the extremal constructions from the proof of Proposition 10
-//! (per-run greedy choices), and [`CutClass::enumerate_cuts`] provides
-//! exact enumeration for cross-checking on small regions.
+//! (per-run greedy choices, computed from the runs and their weights,
+//! not from a probability space), and [`CutClass::enumerate_cuts`]
+//! provides exact enumeration for cross-checking on small regions.
 
 use crate::cut::Cut;
 use crate::error::AsyncError;
-use kpa_assign::DensePointSpace;
 use kpa_logic::PointSet;
-use kpa_measure::{BlockSpace, Rat};
+use kpa_measure::Rat;
 use kpa_system::{NodeId, PointId, RunId, System};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// A class of type-3 adversaries (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,16 +64,6 @@ fn by_run(region: &PointSet) -> BTreeMap<RunId, Vec<PointId>> {
 
 fn total_weight(sys: &System, runs: &BTreeMap<RunId, Vec<PointId>>) -> Rat {
     runs.keys().map(|&r| sys.run_prob(r)).sum()
-}
-
-/// The run-blocked probability space of a region (blocks = runs,
-/// weighted by run probability), with the dense word-mask kernel
-/// attached so interval queries take the fused single-pass path.
-fn region_space(sys: &System, region: &PointSet) -> Result<DensePointSpace, AsyncError> {
-    let space = BlockSpace::new(region.iter().map(|p| (p, p.run_id())), |run| {
-        sys.run_prob(*run)
-    })?;
-    Ok(DensePointSpace::new(space, Arc::clone(sys.point_index())))
 }
 
 impl CutClass {
@@ -120,16 +109,23 @@ impl CutClass {
         let total = total_weight(sys, &runs);
         match self {
             CutClass::AllPoints => {
-                // The Proposition 10 construction — per run, pick the
-                // worst (resp. best) stopping point — is exactly the
-                // inner/outer interval of the region's run-blocked
-                // probability space: a run contributes to the infimum
-                // iff *all* its region points satisfy `phi` and to the
-                // supremum iff *any* does. Reuse the fused single-pass
-                // `measure_interval` on the dense word-mask kernel
-                // instead of re-deriving the greedy sweep here.
-                let space = region_space(sys, region)?;
-                Ok(space.measure_interval(phi))
+                // The Proposition 10 construction: on each run the
+                // adversary stops at a point where φ fails (for the
+                // infimum) or holds (for the supremum) if the run has
+                // one, so a run counts toward the infimum iff *all* its
+                // region points satisfy φ and toward the supremum iff
+                // *any* does.
+                let (mut lo, mut hi) = (Rat::ZERO, Rat::ZERO);
+                for (&r, pts) in &runs {
+                    let w = sys.run_prob(r);
+                    if pts.iter().all(|&p| phi.contains(p)) {
+                        lo += w;
+                    }
+                    if pts.iter().any(|&p| phi.contains(p)) {
+                        hi += w;
+                    }
+                }
+                Ok((lo / total, hi / total))
             }
             CutClass::Horizontal => CutClass::Window(0).bounds(sys, region, phi),
             CutClass::Window(width) => {
@@ -191,48 +187,6 @@ impl CutClass {
                     (Some(l), Some(h)) => Ok((l, h)),
                     _ => Err(AsyncError::NoValidCut),
                 }
-            }
-        }
-    }
-
-    /// [`CutClass::bounds`] with the region's run-blocked probability
-    /// space already in hand — the entry point for plan-driven sweeps,
-    /// where a precomputed `point → Arc<DensePointSpace>` table (a
-    /// [`kpa_assign::SamplePlan`]) supplies the space and the sample
-    /// extraction + space construction of the naive path disappears.
-    ///
-    /// **Precondition:** `space` must be the run-blocked space of its
-    /// own sample (blocks = runs weighted by run probability), exactly
-    /// as built by `ProbAssignment::space` — which is the same
-    /// construction [`CutClass::bounds`] performs internally, so for
-    /// [`CutClass::AllPoints`] the result is bit-identical by
-    /// construction. The other classes need the region itself (their
-    /// optimizations are not functions of the run-blocked space alone),
-    /// so they rebuild it from the space's elements and delegate.
-    ///
-    /// # Errors
-    ///
-    /// As [`CutClass::bounds`].
-    pub fn bounds_via(
-        &self,
-        sys: &System,
-        space: &DensePointSpace,
-        phi: &PointSet,
-    ) -> Result<(Rat, Rat), AsyncError> {
-        match self {
-            CutClass::AllPoints => {
-                kpa_trace::count!("async.cut_bounds_via");
-                if space.elements().is_empty() {
-                    return Err(AsyncError::EmptyCut);
-                }
-                // Proposition 10's per-run greedy optimum *is* the
-                // inner/outer interval of the run-blocked space — one
-                // fused dense pass, no region rebuild.
-                Ok(space.measure_interval(phi))
-            }
-            _ => {
-                let region = sys.point_set(space.elements().iter().copied());
-                self.bounds(sys, &region, phi)
             }
         }
     }

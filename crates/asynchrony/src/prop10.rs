@@ -6,7 +6,7 @@
 //! bounds of the posterior assignment. The proof constructs, per run,
 //! the worst (and best) possible stopping points; [`pts_interval`]
 //! implements that construction and [`prop10_holds`] checks the
-//! equivalence pointwise.
+//! equivalence at every point, once per posterior class.
 
 use crate::classes::CutClass;
 use crate::error::AsyncError;
@@ -54,8 +54,14 @@ pub fn pts_interval(
     class_interval(sys, agent, agent, c, phi, &CutClass::AllPoints)
 }
 
-/// Checks Proposition 10 pointwise: at every point, the `P^pts` interval
-/// equals the inner/outer interval of `P^post`.
+/// Checks Proposition 10 for `agent`: at every point, the `P^pts`
+/// interval equals the inner/outer interval of `P^post`.
+///
+/// Betting against yourself is `post` (`Tree^i_ic = Tree_ic`), and both
+/// sides depend on a point only through its posterior space, so the
+/// check is one comparison per posterior class: the proof's per-run
+/// construction ([`CutClass::AllPoints`]) over the space's sample
+/// against the space's inner and outer measure.
 ///
 /// # Errors
 ///
@@ -63,33 +69,19 @@ pub fn pts_interval(
 /// posterior assignment.
 pub fn prop10_holds(sys: &System, agent: AgentId, phi: &PointSet) -> Result<bool, AsyncError> {
     let post = ProbAssignment::new(sys, Assignment::post());
-    // `Tree^i_ic = Tree_ic` (betting against yourself is `post`), so
-    // the posterior plan's per-point spaces are exactly the run-blocked
-    // region spaces `pts_interval` would rebuild: one batched pass
-    // replaces a sample extraction + space construction per point.
-    let plan = post.sample_plan(agent);
     let _sweep_timer = kpa_trace::span!("async.prop10_ns");
     kpa_trace::count!("async.prop10_points", sys.point_count() as u64);
-    let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
     let mut all = true;
-    for c in sys.points() {
-        let pts = match plan.space(c) {
-            Some(space) => {
-                plan_hits += 1;
-                CutClass::AllPoints.bounds_via(sys, space, phi)?
-            }
-            None => {
-                fallbacks += 1;
-                pts_interval(sys, agent, c, phi)?
-            }
-        };
-        if pts != post.interval(agent, c, phi)? {
-            all = false;
-            break;
-        }
-    }
-    kpa_trace::count!("async.plan_hit", plan_hits);
-    kpa_trace::count!("async.plan_fallback", fallbacks);
+    post.sweep_spaces(
+        agent,
+        true,
+        |space| {
+            let region = sys.point_set(space.elements().iter().copied());
+            let pts = CutClass::AllPoints.bounds(sys, &region, phi)?;
+            Ok::<_, AsyncError>(pts == space.measure_interval(phi))
+        },
+        |_, &holds| all &= holds,
+    )?;
     Ok(all)
 }
 

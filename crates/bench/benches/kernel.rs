@@ -249,9 +249,10 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Cold `K^α`: a probability-heavy formula (`K^α` forces a per-point
-    // space sweep) over a fresh `fut` assignment per pass, so neither
-    // the formula cache nor the space cache can help.
+    // Cold `K^α`: a probability-heavy formula (`K^α` forces a sweep of
+    // the agent's sample spaces, which builds its plan first) over a
+    // fresh `fut` assignment per pass, so neither the formula cache nor
+    // the space cache can help.
     // ------------------------------------------------------------------
     let g = Formula::prop("recent=h").k_alpha(p2, rat!(1 / 2));
     let run_cold_k_alpha = || {

@@ -2,15 +2,16 @@
 //! size — the engineering-side "figures" of this reproduction. Plain
 //! `main()` harness timed with `std::time`; run with
 //! `cargo bench -p kpa-bench --bench scaling` (`--features bench` for
-//! the larger sweep sizes).
+//! the larger sweep sizes). No row is gated.
 
 use kpa_assign::{Assignment, ProbAssignment};
+use kpa_asynchrony::prop10_holds;
 use kpa_bench::{bench_time, default_reps};
 use kpa_betting::{BetRule, BettingGame};
 use kpa_logic::Model;
 use kpa_measure::Rat;
 use kpa_protocols::{async_coin_tosses, ca2, coordination_formula, recent_heads};
-use kpa_system::AgentId;
+use kpa_system::{AgentId, ProtocolBuilder};
 
 /// Building the n-toss asynchronous system (2^n runs).
 fn bench_system_construction(reps: u32) {
@@ -73,6 +74,56 @@ fn bench_safety_decision(reps: u32) {
     }
 }
 
+/// Checking Proposition 6 over a whole system: n fair coins that only
+/// j observes, a bettor i that observes nothing, φ = `c0=h`, α = 1/2.
+/// At n = 6 the system has 448 points, 7 bettor classes and 127
+/// `Tree^j` spaces (2^t at each time t). A traced pass then counts the
+/// break-even evaluations the check made.
+fn bench_proposition6(reps: u32) {
+    for n in [4usize, 5, 6] {
+        let mut b = ProtocolBuilder::new(["i", "j"]);
+        for k in 0..n {
+            let fair = [("h", Rat::new(1, 2)), ("t", Rat::new(1, 2))];
+            b = b.coin(&format!("c{k}"), &fair, &["j"]);
+        }
+        let sys = b.build().expect("builds");
+        let phi = sys.points_satisfying(sys.prop_id("c0=h").expect("prop"));
+        let rule = BetRule::new(phi, Rat::new(1, 2)).expect("valid");
+        let check = || {
+            BettingGame::new(&sys, AgentId(0), AgentId(1))
+                .proposition6_holds(&rule)
+                .expect("decidable")
+        };
+        bench_time(&format!("scale_proposition6/{n}"), reps, check);
+        kpa_trace::set_enabled(true);
+        let evals = || {
+            kpa_trace::registry()
+                .snapshot()
+                .counter("betting.break_even_evals")
+        };
+        let before = evals();
+        assert!(check(), "Proposition 6 holds in synchronous systems");
+        let made = evals() - before;
+        kpa_trace::set_enabled(false);
+        println!(
+            "  {made} break-even evals over {} points",
+            sys.point_count()
+        );
+    }
+}
+
+/// Checking Proposition 10 for the clockless p1 over the n-toss
+/// asynchronous system, φ = "the most recent toss landed heads".
+fn bench_prop10(reps: u32) {
+    for n in [4usize, 6, 8] {
+        let sys = async_coin_tosses(n).expect("builds");
+        let phi = recent_heads(&sys);
+        bench_time(&format!("scale_prop10/{n}"), reps, || {
+            assert!(prop10_holds(&sys, AgentId(0), &phi).expect("checks"));
+        });
+    }
+}
+
 fn main() {
     let reps = default_reps();
     println!("scaling benchmarks (best of {reps})\n");
@@ -80,4 +131,6 @@ fn main() {
     bench_assignment_induction(reps);
     bench_common_knowledge(reps);
     bench_safety_decision(reps);
+    bench_proposition6(reps);
+    bench_prop10(reps);
 }

@@ -748,13 +748,9 @@ pub fn e16_embedding() -> Vec<Row> {
     let sys = protocols::async_coin_tosses(2).expect("builds");
     let phi = protocols::recent_heads(&sys);
     let post = ProbAssignment::new(&sys, Assignment::post());
-    // Resolve the space through the batched sample plan (one extraction
-    // per class, table lookup per point) rather than rebuilding it.
     let space = post
-        .sample_plan(AgentId(0))
-        .space(pt(0, 0, 1))
-        .cloned()
-        .expect("the plan covers every point");
+        .space(AgentId(0), pt(0, 0, 1))
+        .expect("post spaces build");
     let rule = BetRule::new(phi, rat(1, 2)).expect("valid threshold");
     let e_inner = inner_expected_winnings(
         &space,

@@ -28,10 +28,9 @@ use crate::error::BettingError;
 use crate::game::{expected_winnings, inner_expected_winnings, BetRule};
 use crate::strategy::Strategy;
 use kpa_assign::{Assignment, DensePointSpace, ProbAssignment};
-use kpa_logic::PointSet;
+use kpa_logic::{LogicError, Model, PointSet};
 use kpa_measure::Rat;
 use kpa_system::{AgentId, PointId, System};
-use std::sync::Arc;
 
 /// The betting game between a bettor `p_i` and an opponent `p_j` over a
 /// system, with the opponent-indexed assignment `P^j` it induces.
@@ -108,21 +107,19 @@ impl<'s> BettingGame<'s> {
     /// Whether `rule` breaks even for the bettor at `d` with respect to
     /// `Tree^j_id`: nonnegative (inner) expected winnings against every
     /// strategy, which reduces to the threshold offer `1/α` (see the
-    /// module docs). The space at `d` comes from the bettor's batched
-    /// [`kpa_assign::SamplePlan`] when available — same cached `Arc`s,
-    /// with per-point fallback reproducing the unplanned errors.
+    /// module docs).
     ///
     /// # Errors
     ///
     /// Propagates space-construction failures.
     pub fn breaks_even_at(&self, d: PointId, rule: &BetRule) -> Result<bool, BettingError> {
-        let space = self.opp.planned_space(self.bettor, d)?;
+        let space = self.opp.space(self.bettor, d)?;
         self.breaks_even_in(&space, rule)
     }
 
     /// [`BettingGame::breaks_even_at`] with the `Tree^j_id` space
-    /// already in hand (the shared tail of the per-point and the
-    /// plan-driven sweeps).
+    /// already in hand (the shared tail of the per-point check and the
+    /// space sweeps).
     fn breaks_even_in(
         &self,
         space: &DensePointSpace,
@@ -149,154 +146,48 @@ impl<'s> BettingGame<'s> {
         Ok(true)
     }
 
-    /// The set of points where `rule` is `Tree^j`-safe: one decision
-    /// per bettor class.
+    /// The set of points where `rule` is `Tree^j`-safe: `K_i` of the set
+    /// where it breaks even. Each `Tree^j` space is decided once, and
+    /// since the `P^j` classes partition each bettor class, a bettor
+    /// class lies in that set exactly when the bet breaks even
+    /// throughout it.
     ///
     /// # Errors
     ///
     /// Propagates space-construction failures.
     pub fn safe_points(&self, rule: &BetRule) -> Result<PointSet, BettingError> {
-        self.class_sweep(|space| self.breaks_even_in(space, rule))
+        kpa_trace::count!("betting.class_sweeps");
+        let _sweep_timer = kpa_trace::span!("betting.class_sweep_ns");
+        let mut even = self.sys.empty_points();
+        self.opp.sweep_spaces(
+            self.bettor,
+            true,
+            |space| self.breaks_even_in(space, rule),
+            |points, &ok| {
+                if ok {
+                    even.union_group(points);
+                }
+            },
+        )?;
+        Ok(Model::new(&self.opp).knows_set(self.bettor, &even))
     }
 
     /// The set of points satisfying `K_i^α φ` under `P^j` — the
-    /// knowledge side of Theorem 7, computed from inner measures (the
-    /// paper's `Prᵢ` semantics), not from the game.
+    /// knowledge side of Theorem 7, `K_i(Prᵢ(φ) ≥ α)` as the logic
+    /// layer evaluates it, not from the game.
     ///
     /// # Errors
     ///
     /// Propagates space-construction failures.
     pub fn k_alpha_points(&self, rule: &BetRule) -> Result<PointSet, BettingError> {
-        self.class_sweep(|space| Ok(space.inner_measure(rule.phi()) >= rule.alpha()))
-    }
-
-    /// [`BettingGame::k_alpha_points`] for a whole threshold family in
-    /// one class sweep: for each bettor class, the *minimum* of its
-    /// members' inner measures of `phi` is computed once, then
-    /// thresholded against every `α` — a class satisfies `K_i^α φ`
-    /// exactly when every member space has `(μ_ic)⁎(φ) ≥ α`, i.e. when
-    /// the minimum does. Returns one point set per `α`, in `alphas`
-    /// order, each bit-identical to a [`BettingGame::k_alpha_points`]
-    /// call (measures are exact rationals, so per-class thresholding
-    /// commutes with the sweep). This is the betting-side consumer of
-    /// the one-sweep family evaluation the logic layer's
-    /// `pr_ge_family` performs per point.
-    ///
-    /// Unlike the single-α sweep — whose per-member short-circuit can
-    /// skip building later spaces in a failing class — the family sweep
-    /// resolves *every* member's space, so on assignments that violate
-    /// REQ it may surface construction errors the single-α path happens
-    /// to skip. The canonical assignments never error, and the sweeps
-    /// agree wherever both succeed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates space-construction failures.
-    pub fn k_alpha_points_family(
-        &self,
-        phi: &PointSet,
-        alphas: &[Rat],
-    ) -> Result<Vec<PointSet>, BettingError> {
-        kpa_trace::count!("betting.class_sweeps");
-        let _sweep_timer = kpa_trace::span!("betting.class_sweep_ns");
-        let k = alphas.len();
-        let classes: Vec<&PointSet> = self
-            .sys
-            .local_classes(self.bettor)
-            .map(|(_, class)| class)
-            .collect();
-        let plan = self.opp.sample_plan(self.bettor);
-        let mut out: Vec<PointSet> = (0..k).map(|_| self.sys.empty_points()).collect();
-        let mut by_space: std::collections::HashMap<*const DensePointSpace, Rat> =
-            std::collections::HashMap::new();
-        let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
-        kpa_trace::count!("betting.classes_scanned", classes.len() as u64);
-        for class in classes {
-            // One inner measure per distinct member space; the class
-            // verdict for every α follows from the minimum.
-            let mut min_inner: Option<Rat> = None;
-            for d in class.iter() {
-                let space = match plan.space(d) {
-                    Some(space) => {
-                        plan_hits += 1;
-                        Arc::clone(space)
-                    }
-                    None => {
-                        fallbacks += 1;
-                        self.opp.space(self.bettor, d)?
-                    }
-                };
-                let inner = *by_space
-                    .entry(Arc::as_ptr(&space))
-                    .or_insert_with(|| space.inner_measure(phi));
-                min_inner = Some(match min_inner {
-                    Some(seen) if seen <= inner => seen,
-                    _ => inner,
-                });
-            }
-            let Some(min_inner) = min_inner else {
-                continue;
-            };
-            for (acc, alpha) in out.iter_mut().zip(alphas) {
-                if min_inner >= *alpha {
-                    acc.union_with(class);
-                }
-            }
-        }
-        kpa_trace::count!("betting.plan_hit", plan_hits);
-        kpa_trace::count!("betting.plan_fallback", fallbacks);
-        Ok(out)
-    }
-
-    /// Shared sweep shape of [`BettingGame::safe_points`] and
-    /// [`BettingGame::k_alpha_points`]: absorb every bettor class whose
-    /// members' `Tree^j` spaces all pass `pred`, in class-list order.
-    /// The bettor's batched [`kpa_assign::SamplePlan`] is fetched once,
-    /// so the per-point space resolution is a table lookup (with
-    /// per-point fallback where the plan has no entry — reproducing the
-    /// unplanned per-point errors exactly).
-    fn class_sweep(
-        &self,
-        pred: impl Fn(&DensePointSpace) -> Result<bool, BettingError>,
-    ) -> Result<PointSet, BettingError> {
-        kpa_trace::count!("betting.class_sweeps");
-        let _sweep_timer = kpa_trace::span!("betting.class_sweep_ns");
-        let classes: Vec<&PointSet> = self
-            .sys
-            .local_classes(self.bettor)
-            .map(|(_, class)| class)
-            .collect();
-        let plan = self.opp.sample_plan(self.bettor);
-        let mut acc = self.sys.empty_points();
-        let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
-        kpa_trace::count!("betting.classes_scanned", classes.len() as u64);
-        for class in classes {
-            let mut all_pass = true;
-            for d in class.iter() {
-                // Space resolution stays behind the short-circuit,
-                // exactly like the unplanned per-point sweep.
-                let space = match plan.space(d) {
-                    Some(space) => {
-                        plan_hits += 1;
-                        Arc::clone(space)
-                    }
-                    None => {
-                        fallbacks += 1;
-                        self.opp.space(self.bettor, d)?
-                    }
-                };
-                if !pred(&space)? {
-                    all_pass = false;
-                    break;
-                }
-            }
-            if all_pass {
-                acc.union_with(class);
-            }
-        }
-        kpa_trace::count!("betting.plan_hit", plan_hits);
-        kpa_trace::count!("betting.plan_fallback", fallbacks);
-        Ok(acc)
+        let model = Model::new(&self.opp);
+        let likely = model
+            .pr_ge_set(self.bettor, rule.alpha(), rule.phi())
+            .map_err(|e| match e {
+                LogicError::Assign(e) => BettingError::Assign(e),
+                e => unreachable!("a Pr sweep over a set fails only to build a space: {e}"),
+            })?;
+        Ok(model.knows_set(self.bettor, &likely))
     }
 
     /// Checks Theorem 7 on this game: safety and `K_i^α` coincide at
@@ -323,10 +214,7 @@ impl<'s> BettingGame<'s> {
         rule: &BetRule,
     ) -> Result<Option<(Strategy, PointId)>, BettingError> {
         for d in self.sys.indistinguishable(self.bettor, c) {
-            let p = self
-                .opp
-                .planned_space(self.bettor, d)?
-                .inner_measure(rule.phi());
+            let p = self.opp.space(self.bettor, d)?.inner_measure(rule.phi());
             if p < rule.alpha() {
                 let strategy = Strategy::silent()
                     .with_offer(self.sys.local(self.opponent, d), rule.min_payoff());
@@ -348,7 +236,7 @@ impl<'s> BettingGame<'s> {
     pub fn fair_threshold(&self, c: PointId, phi: &PointSet) -> Result<Rat, BettingError> {
         let mut min = Rat::ONE;
         for d in self.sys.indistinguishable(self.bettor, c) {
-            min = min.min(self.opp.planned_space(self.bettor, d)?.inner_measure(phi));
+            min = min.min(self.opp.space(self.bettor, d)?.inner_measure(phi));
         }
         Ok(min)
     }
@@ -385,12 +273,26 @@ impl<'s> BettingGame<'s> {
     pub fn tree_safe_at(&self, c: PointId, rule: &BetRule) -> Result<bool, BettingError> {
         let family = self.adversarial_family(rule);
         for d in self.sys.indistinguishable(self.bettor, c) {
-            let space = self.post.planned_space(self.bettor, d)?;
-            for f in &family {
-                let e = expected_winnings(&space, self.sys, self.opponent, rule, f)?;
-                if e < Rat::ZERO {
-                    return Ok(false);
-                }
+            let space = self.post.space(self.bettor, d)?;
+            if !self.tree_even_in(&space, &family, rule)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Whether `rule` breaks even over the posterior space `Tree_id`
+    /// against every strategy of `family` (the per-space half of
+    /// [`BettingGame::tree_safe_at`]).
+    fn tree_even_in(
+        &self,
+        space: &DensePointSpace,
+        family: &[Strategy],
+        rule: &BetRule,
+    ) -> Result<bool, BettingError> {
+        for f in family {
+            if expected_winnings(space, self.sys, self.opponent, rule, f)? < Rat::ZERO {
+                return Ok(false);
             }
         }
         Ok(true)
@@ -399,18 +301,86 @@ impl<'s> BettingGame<'s> {
     /// Checks Proposition 6: `Tree`-safety and `Tree^j`-safety coincide
     /// at every point (synchronous systems).
     ///
+    /// Both [`BettingGame::tree_safe_at`] and
+    /// [`BettingGame::is_safe_at`] quantify over `c`'s bettor class, so
+    /// each bettor class is decided once, in the order a per-point loop
+    /// first meets it, from per-space verdicts that are each computed
+    /// once: the adversarial family's over each posterior space, the
+    /// break-even test over each `Tree^j` space. A class's verdict is
+    /// the verdict of its first point that does not pass, as the
+    /// per-point loops find it, error included.
+    ///
     /// # Errors
     ///
     /// As [`BettingGame::tree_safe_at`].
     pub fn proposition6_holds(&self, rule: &BetRule) -> Result<bool, BettingError> {
         let _sweep_timer = kpa_trace::span!("betting.prop6_ns");
         kpa_trace::count!("betting.prop6_points", self.sys.point_count() as u64);
+        let family = self.adversarial_family(rule);
+        let tree = self.verdicts(&self.post, |space| self.tree_even_in(space, &family, rule))?;
+        let tree_j = self.verdicts(&self.opp, |space| self.breaks_even_in(space, rule))?;
+        let mut decided = self.sys.empty_points();
         for c in self.sys.points() {
-            if self.tree_safe_at(c, rule)? != self.is_safe_at(c, rule)? {
+            if decided.contains(c) {
+                continue;
+            }
+            let class = self.sys.indistinguishable(self.bettor, c);
+            if tree.all_pass(class)? != tree_j.all_pass(class)? {
                 return Ok(false);
             }
+            decided.union_with(class);
         }
         Ok(true)
+    }
+
+    /// Each of the bettor's spaces under `pa`, decided once by `verdict`
+    /// and filed by point (an error is a verdict too).
+    fn verdicts(
+        &self,
+        pa: &ProbAssignment<'_>,
+        mut verdict: impl FnMut(&DensePointSpace) -> Result<bool, BettingError>,
+    ) -> Result<Verdicts, BettingError> {
+        let mut out = Verdicts {
+            pass: self.sys.empty_points(),
+            errors: Vec::new(),
+        };
+        pa.sweep_spaces(
+            self.bettor,
+            true,
+            |space| Ok::<_, BettingError>(verdict(space)),
+            |points, verdict| match verdict {
+                Ok(true) => out.pass.union_group(points),
+                Ok(false) => {}
+                Err(e) => {
+                    let mut at = self.sys.empty_points();
+                    at.union_group(points);
+                    out.errors.push((at, e.clone()));
+                }
+            },
+        )?;
+        Ok(out)
+    }
+}
+
+/// Per-space verdicts filed by point: where they pass, and where they
+/// failed with an error.
+struct Verdicts {
+    pass: PointSet,
+    errors: Vec<(PointSet, BettingError)>,
+}
+
+impl Verdicts {
+    /// What a loop over `class` in ascending order returns when it stops
+    /// at the first point that does not pass: `true` if every point
+    /// passes, else that point's error or `false`.
+    fn all_pass(&self, class: &PointSet) -> Result<bool, BettingError> {
+        let Some(d) = class.difference(&self.pass).first() else {
+            return Ok(true);
+        };
+        match self.errors.iter().find(|(at, _)| at.contains(d)) {
+            Some((_, e)) => Err(e.clone()),
+            None => Ok(false),
+        }
     }
 }
 
@@ -574,27 +544,5 @@ mod tests {
         assert!(!safe.contains(pt(0, 1)));
         assert_eq!(safe, game.k_alpha_points(&rule).unwrap());
         drop(heads);
-    }
-
-    #[test]
-    fn k_alpha_family_matches_serial_thresholds() {
-        let sys = secret_coin();
-        let game = BettingGame::new(&sys, AgentId(0), AgentId(1));
-        let heads_run: PointSet = sys.point_set(sys.points().filter(|p| p.run == 0));
-        let alphas = [rat!(1 / 4), rat!(1 / 2), rat!(3 / 4), Rat::ONE];
-        let family = game.k_alpha_points_family(&heads_run, &alphas).unwrap();
-        assert_eq!(family.len(), alphas.len());
-        for (alpha, set) in alphas.iter().zip(&family) {
-            let rule = BetRule::new(heads_run.clone(), *alpha).unwrap();
-            assert_eq!(
-                *set,
-                game.k_alpha_points(&rule).unwrap(),
-                "family sweep diverged from the serial sweep at α = {alpha}"
-            );
-        }
-        // Monotone in α: a higher bar can only shrink the set.
-        for pair in family.windows(2) {
-            assert!(pair[1].is_subset(&pair[0]));
-        }
     }
 }

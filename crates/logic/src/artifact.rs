@@ -35,11 +35,11 @@
 use crate::compile::{Body, CompiledFormula, FormulaArena, Term, TermId};
 use crate::error::LogicError;
 use crate::formula::Formula;
-use kpa_assign::{AssignCore, Assignment, DensePointSpace, Memo, SamplePlan};
+use kpa_assign::{AssignCore, Assignment, Memo};
 use kpa_measure::Rat;
 use kpa_system::{AgentId, PointId, PointSet, System};
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The two evaluation memos, each a [`Memo`]:
@@ -98,8 +98,9 @@ pub(crate) struct EvalView<'e> {
     /// The hash-consing arena the compiled path interns into (owned by
     /// the model/artifact, like the memos).
     pub(crate) arena: &'e FormulaArena,
-    /// Whether `pr_ge_set` sweeps the batched [`SamplePlan`]'s classes
-    /// (off only for differential testing).
+    /// Whether `pr_ge_set` sweeps the batched
+    /// [`SamplePlan`](kpa_assign::SamplePlan)'s classes (off only for
+    /// differential testing).
     pub(crate) plan: bool,
 }
 
@@ -346,16 +347,15 @@ impl EvalView<'_> {
 
     /// The one-sweep kernel behind [`EvalView::pr_ge_family`] and (with
     /// k = 1) [`EvalView::pr_ge_set`]. Like `K_i`, each threshold set is
-    /// a union of whole classes: the plan's classes are visited in
-    /// first-point order, each class's inner measure is computed once,
-    /// straight from its space's kernel, and the class's points are ORed
-    /// word-wise (one contiguous loop for a dense class) into every set
-    /// whose α it reaches. The points the plan leaves unplanned — or every
-    /// point, with the plan off — then go one by one in ascending
-    /// order, each distinct space measured once, so the first point
-    /// where the assignment fails reports its error. Thresholding is
-    /// exact — measures are exact rationals, so `inner ≥ α` per class
-    /// is precisely what k independent sweeps would compute.
+    /// a union of whole classes: [`AssignCore::sweep_spaces`] decides
+    /// each distinct space once — its inner measure, straight from the
+    /// space's kernel — and the sweep ORs the space's points word-wise
+    /// (one contiguous loop for a dense class) into every set whose α
+    /// that measure reaches. With the plan off every point goes alone,
+    /// in ascending order, so the first point where the assignment fails
+    /// reports its error. Thresholding is exact — measures are exact
+    /// rationals, so `inner ≥ α` per class is precisely what k
+    /// independent sweeps would compute.
     fn family_sweep(
         &self,
         agent: AgentId,
@@ -371,46 +371,27 @@ impl EvalView<'_> {
             s.tighten_footprint();
             s
         };
-        // The artifact's plan slots are write-once, so the warm fetch
-        // is a single atomic load.
-        let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
         let _sweep_timer = kpa_trace::span!("logic.pr_sweep_ns");
         let mut out: Vec<PointSet> = alphas.iter().map(|_| sys.empty_points()).collect();
-        if let Some(plan) = &plan {
-            for k in 0..plan.classes() {
-                let (space, points) = plan.class(k);
-                let inner = space.inner_measure(sat);
+        self.core.sweep_spaces(
+            sys,
+            agent,
+            self.plan,
+            |space| Ok::<_, LogicError>(space.inner_measure(sat)),
+            |points, inner| {
                 for (acc, alpha) in out.iter_mut().zip(alphas) {
-                    if inner >= *alpha {
+                    if inner >= alpha {
                         acc.union_group(points);
                     }
                 }
-            }
-        }
-        // One verdict row per distinct fallback space.
-        let mut by_space: HashMap<*const DensePointSpace, Vec<bool>> = HashMap::new();
-        let mut fallbacks = 0u64;
-        let mut fallback = |c: PointId| -> Result<(), LogicError> {
-            fallbacks += 1;
-            let space = self.core.space(sys, agent, c)?;
-            let verdicts = &*by_space.entry(Arc::as_ptr(&space)).or_insert_with(|| {
-                let inner = space.inner_measure(sat);
-                alphas.iter().map(|alpha| inner >= *alpha).collect()
-            });
-            for (acc, &ok) in out.iter_mut().zip(verdicts) {
-                if ok {
-                    acc.insert(c);
-                }
-            }
-            Ok(())
-        };
-        match &plan {
-            Some(plan) => plan.unplanned().try_for_each(&mut fallback)?,
-            None => sys.points().try_for_each(&mut fallback)?,
-        }
-        // Both count points: a planned class counts each of its points.
-        let hits = plan.as_ref().map_or(0, |p| p.covered());
-        kpa_trace::count!("logic.plan_hit", hits as u64);
+            },
+        )?;
+        // Both count points. A finished sweep absorbed every point:
+        // through a plan class with the plan on (a point the plan leaves
+        // out fails to build), alone with it off.
+        let points = sys.point_count() as u64;
+        let (hits, fallbacks) = if self.plan { (points, 0) } else { (0, points) };
+        kpa_trace::count!("logic.plan_hit", hits);
         kpa_trace::count!("logic.plan_fallback", fallbacks);
         Ok(out)
     }
@@ -558,8 +539,9 @@ fn until(hold: &PointSet, goal: &PointSet) -> PointSet {
 
 /// An immutable, shareable model-checking artifact: one system + one
 /// sample-space assignment, with every derived structure — canonical
-/// spaces, batched [`SamplePlan`]s, and the two evaluation memos —
-/// owned by the artifact and guarded only by each memo's one lock.
+/// spaces, batched [`SamplePlan`](kpa_assign::SamplePlan)s, and the two
+/// evaluation memos — owned by the artifact and guarded only by each
+/// memo's one lock.
 ///
 /// Build it once, wrap it in an [`Arc`], and hand clones to as many
 /// threads as you like; each thread mints a cheap [`EvalCtx`] and
@@ -611,10 +593,10 @@ pub struct ModelArtifact {
 
 impl ModelArtifact {
     /// Builds the artifact for `assignment` over `sys`, eagerly
-    /// building the per-agent [`SamplePlan`] table so the first query
-    /// from every thread starts warm (plan builds walk the whole
-    /// system — exactly the cost an interactive client should not pay
-    /// mid-query).
+    /// building the per-agent [`SamplePlan`](kpa_assign::SamplePlan)
+    /// table so the first query from every thread starts warm (plan
+    /// builds walk the whole system — exactly the cost an interactive
+    /// client should not pay mid-query).
     #[must_use]
     pub fn new(sys: Arc<System>, assignment: Assignment) -> ModelArtifact {
         let core = AssignCore::new(assignment, sys.agent_count());
@@ -911,7 +893,7 @@ impl<'m> EvalCtx<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpa_measure::rat;
+    use kpa_measure::{rat, GroupWords};
     use kpa_system::{ProtocolBuilder, TreeId};
 
     fn intro_system() -> System {
@@ -990,20 +972,27 @@ mod tests {
         let artifact = ModelArtifact::new(Arc::new(observed_coins()), Assignment::post());
         let sys = artifact.system();
         let mut seen = HashSet::new();
-        let (mut kernels, mut plans) = (0, 0);
+        let (mut kernels, mut plans, mut class_words) = (0, 0, 0);
         for agent in (0..sys.agent_count()).map(AgentId) {
             let plan = artifact.core().sample_plan(sys, agent);
             plans += plan.heap_bytes();
             for k in 0..plan.classes() {
-                let (space, _) = plan.class(k);
+                let (space, points) = plan.class(k);
+                // A class holds its space and its words: a dense class
+                // its first word's index and every word of its range, a
+                // pairs class an index and a word per pair.
+                class_words += size_of::<Arc<kpa_assign::DensePointSpace>>()
+                    + match points {
+                        GroupWords::Dense { bits, .. } => size_of::<u32>() + size_of_val(bits),
+                        GroupWords::Pairs { words, bits } => size_of_val(words) + size_of_val(bits),
+                    };
                 if seen.insert(Arc::as_ptr(space)) {
                     kernels += space.kernel().expect("dense kernel").heap_bytes();
                 }
             }
         }
         assert!(kernels > 0);
-        // Each plan holds a `u32` slot per point besides its classes.
-        assert!(plans > sys.agent_count() * sys.point_count() * size_of::<u32>());
+        assert!(plans >= class_words && class_words > 0);
         assert!(artifact.approx_resident_bytes() >= (kernels + plans) as u64);
     }
 

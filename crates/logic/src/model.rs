@@ -16,7 +16,7 @@
 //! no per-point tree walking anywhere in the evaluator.
 //!
 //! The two scans that dominate model checking — the per-class subset
-//! test behind `Kᵢ` and the per-point space sweep behind `Prᵢ ≥ α` —
+//! test behind `Kᵢ` and the per-class space sweep behind `Prᵢ ≥ α` —
 //! are plain loops on the calling thread (see `DESIGN.md`, "Sweeps on
 //! the calling thread").
 //!

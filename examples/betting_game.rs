@@ -6,11 +6,10 @@
 //! bet comes with an explicit money-extracting strategy; and a
 //! Monte-Carlo simulation of the game confirms the analytic verdicts.
 //!
-//! Sample spaces are resolved through the opponent assignment's batched
-//! [`SamplePlan`](kpa::assign::SamplePlan) — one table shared by every
-//! query below, instead of a rebuild per point — and the run ends with
-//! a `kpa-trace` report showing the cache/kernel traffic the queries
-//! generated.
+//! The safety sweeps walk the opponent assignment's batched
+//! [`SamplePlan`](kpa::assign::SamplePlan) — one extraction per class,
+//! shared by every sweep below — and the run ends with a `kpa-trace`
+//! report showing the cache/kernel traffic the queries generated.
 //!
 //! Run with: `cargo run --example betting_game`
 
@@ -66,9 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rule.min_payoff(),
         sys.local_name(j, witness)
     );
-    // Resolve p_i's sample space at the witness through the batched
-    // sample plan: one extraction per information-set class up front,
-    // then a table lookup per point (no per-point space rebuild).
+    // The batched sample plan: one extraction per information-set
+    // class, walked by the safety sweeps below.
     let plan = vs_j.opp_assignment().sample_plan(i);
     println!(
         "  sample plan: {} class(es), {} extraction(s) covering {} point(s), batched: {}",
@@ -77,10 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.covered(),
         plan.is_batched()
     );
-    let cell = plan
-        .space(witness)
-        .cloned()
-        .expect("the plan covers every point of the system");
+    // p_i's sample space at the witness, from the space cache.
+    let cell = vs_j.opp_assignment().space(i, witness)?;
     let analytic = inner_expected_winnings(&cell, &sys, j, &rule, &strategy)?;
     println!("  p_i's expected winnings there (analytic):  {analytic}");
 
@@ -106,15 +102,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A constant fair offer against the peer: exactly break-even, and
-    // the simulation agrees. The peer game gets its own plan (plans are
-    // per-assignment artifacts, cached on the `ProbAssignment`).
+    // the simulation agrees. The peer game has its own assignment, and
+    // so its own space cache.
     let fair = Strategy::constant(rat!(3 / 2));
-    let space = vs_peer
-        .opp_assignment()
-        .sample_plan(i)
-        .space(c)
-        .cloned()
-        .expect("the plan covers every point of the system");
+    let space = vs_peer.opp_assignment().space(i, c)?;
     let sim = simulate_average_winnings(&mut rng, &sys, peer, &space, &rule, &fair, 100_000);
     println!("\nfair constant offer vs peer: simulated average winnings {sim:+.4} (expected 0)");
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the checks every PR must pass, runnable fully offline.
 #
-#   ./scripts/ci.sh          # fmt + build + test + benchmark build and
-#                            # unit tests + bench gate + clippy
+#   ./scripts/ci.sh          # fmt + build + examples + test + benchmark
+#                            # build and unit tests + bench gate + clippy
 #   FUZZ=1 ./scripts/ci.sh   # additionally run the widened property sweeps
 #
 # FUZZ=1 multiplies the sharded property-test case counts ~5x
@@ -20,6 +20,14 @@ cargo fmt --all --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
+
+# Each example asserts the paper values it prints and exits nonzero on
+# drift, so running them checks the public API end to end.
+for example in examples/*.rs; do
+    name="$(basename "${example}" .rs)"
+    echo "==> cargo run -q --release --offline --example ${name}"
+    cargo run -q --release --offline --example "${name}" > /dev/null
+done
 
 # The workspace tests include every differential suite: the dense
 # measure kernel against the generic scan, the sample plan against the

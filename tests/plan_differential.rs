@@ -1,30 +1,28 @@
 //! Plan-vs-naive differential suite for the batched [`SamplePlan`]
-//! layer: every consumer of the per-`(agent, point)` probability spaces
-//! — `Model::pr_ge_set`, the betting safety sweeps, the asynchrony cut
-//! bounds — must produce *bit-identical* results whether the space
-//! arrives through the precomputed plan table or through the naive
-//! per-point `sample → space` path.
+//! layer and the one walk over it, `ProbAssignment::sweep_spaces`:
+//! every consumer of the per-`(agent, point)` probability spaces —
+//! `Model::pr_ge_set`, the betting safety sweeps, Proposition 10 — must
+//! produce *bit-identical* results whether the spaces arrive through
+//! the plan's classes or through the naive per-point `sample → space`
+//! path.
 //!
 //! Three layers of pinning:
 //!
 //! 1. **Pointer identity** — the plan canonicalizes through the same
-//!    per-sample cache as `ProbAssignment::space`, so a planned space
-//!    and its naive counterpart are the *same `Arc`* (hence the `Pr`
-//!    memo of `Model`, keyed by space address, sees identical keys on
-//!    both paths).
-//! 2. **Value identity** — `pr_ge` families, safety point sets,
-//!    `k_alpha` sets, and cut bounds computed plan-on vs plan-off are
-//!    asserted equal on the paper walkthrough systems plus seeded
-//!    random synchronous and asynchronous systems.
-//! 3. **Error identity** — points the plan leaves uncovered (custom
-//!    assignments violating REQ1/REQ2) report the exact naive errors
-//!    through the fallback.
+//!    per-sample cache as `ProbAssignment::space`, so a class's space
+//!    and the naive space at each of its points are the *same `Arc`*,
+//!    and so is the space each swept point's verdict came from.
+//! 2. **Value identity** — `pr_ge` families, safety point sets and
+//!    `k_alpha` sets computed plan-on vs plan-off are asserted equal on
+//!    the paper walkthrough systems plus seeded random synchronous and
+//!    asynchronous systems.
+//! 3. **Error identity** — an assignment violating REQ1/REQ2 reports
+//!    the naive error of its first violating point, plan on or off.
 
 mod common;
 
 use common::{arb_async_spec, arb_sync_spec, build, cases, cases_sharded, prop_names};
-use kpa::assign::{AssignError, Assignment, ProbAssignment};
-use kpa::asynchrony::CutClass;
+use kpa::assign::{AssignError, Assignment, DensePointSpace, ProbAssignment};
 use kpa::betting::{inner_expected_winnings, BetRule, BettingGame, Strategy};
 use kpa::logic::{Formula, LogicError, Model};
 use kpa::measure::{rat, GroupWords, Rat, Rng64};
@@ -50,55 +48,43 @@ fn canonical_assignments(sys: &System) -> Vec<Assignment> {
     out
 }
 
+/// The points of one class (or lone point), ascending.
+fn points_of(sys: &System, group: GroupWords<'_>) -> Vec<PointId> {
+    let index = sys.point_index();
+    group
+        .pairs()
+        .flat_map(|(word, bits)| {
+            (0..64)
+                .filter(move |b| bits >> b & 1 == 1)
+                .map(move |b| index.point_at(64 * word + b))
+        })
+        .collect()
+}
+
 /// Core pointer/value/error identity for one `(assignment, agent)`:
-/// the plan's table entries are the *same `Arc`s* the naive per-point
-/// path hands out, entries are absent exactly where the naive path
-/// errors, and plan statistics satisfy the batching contract. Returns
-/// how many classes the plan holds as dense words and as pairs.
+/// each class holds the *same `Arc`* the naive per-point path hands out
+/// at every one of its points, the classes hold exactly the points
+/// where the naive path succeeds, and plan statistics satisfy the
+/// batching contract. Returns how many classes the plan holds as dense
+/// words and as pairs.
 fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: AgentId) -> [usize; 2] {
     let pa = ProbAssignment::new(sys, assignment.clone());
     let plan = pa.sample_plan(agent);
     assert_eq!(plan.agent(), agent);
     assert_eq!(plan.point_count(), sys.point_count());
-    let mut covered = 0usize;
-    for c in sys.points() {
-        match pa.space(agent, c) {
-            Ok(naive) => {
-                let planned = plan
-                    .space(c)
-                    .unwrap_or_else(|| panic!("plan misses valid point {c:?}"));
-                assert!(
-                    Arc::ptr_eq(planned, &naive),
-                    "planned and naive spaces must be the same Arc at {c:?}"
-                );
-                // `planned_space` is the plan-or-fallback entry point.
-                assert!(Arc::ptr_eq(
-                    &pa.planned_space(agent, c).expect("planned_space"),
-                    &naive
-                ));
-                covered += 1;
-            }
-            Err(naive_err) => {
-                assert!(
-                    plan.space(c).is_none(),
-                    "plan must leave REQ-violating points uncovered at {c:?}"
-                );
-                // The fallback reproduces the exact naive error.
-                let planned_err = pa
-                    .planned_space(agent, c)
-                    .expect_err("fallback must reproduce the naive error");
-                assert_eq!(format!("{planned_err:?}"), format!("{naive_err:?}"));
-            }
-        }
-    }
-    assert_eq!(plan.covered(), covered, "covered() counts planned points");
+    let valid = sys.point_set(sys.points().filter(|&c| pa.space(agent, c).is_ok()));
+    assert_eq!(
+        plan.covered(),
+        valid.len(),
+        "covered() counts planned points"
+    );
     assert!(plan.is_batched(), "canonical assignments batch");
     // The class layout: pairwise disjoint classes in first-point order,
-    // each equal to its sample (uniformity) and holding the `Arc` that
-    // `space(c)` returns at every one of its points; together exactly
-    // the covered points, and `unplanned()` lists the rest. Each class
-    // is rebuilt from its stored words, by the sweep's union and word
-    // by word, and neither encoding is larger than the class's pairs.
+    // each equal to its sample (uniformity) and holding the naive
+    // space's `Arc` at every one of its points; together exactly the
+    // valid points, and `unplanned()` lists the rest. Each class is
+    // rebuilt from its stored words, by the sweep's union and word by
+    // word, and neither encoding is larger than the class's pairs.
     let mut union = sys.empty_points();
     let mut last_first = None;
     let mut encodings = [0, 0];
@@ -110,16 +96,9 @@ fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: Agent
             class.footprint_is_valid(),
             "class {k}'s union left a stale footprint"
         );
-        let mut by_word = sys.empty_points();
-        let universe = Arc::clone(by_word.universe());
-        let mut pairs = 0;
-        for (word, bits) in points.pairs() {
-            pairs += 1;
-            for b in (0..64).filter(|b| bits >> b & 1 == 1) {
-                by_word.insert(universe.point_at(64 * word + b));
-            }
-        }
+        let by_word = sys.point_set(points_of(sys, points));
         assert_eq!(class, by_word, "class {k}'s union differs from its words");
+        let pairs = points.pairs().count();
         match points {
             GroupWords::Dense { bits, .. } => {
                 encodings[0] += 1;
@@ -149,25 +128,21 @@ fn assert_plan_matches_naive(sys: &System, assignment: &Assignment, agent: Agent
             "class {k} is not its sample"
         );
         for c in &class {
-            let planned = plan.space(c).expect("class points are planned");
+            let naive = pa.space(agent, c).expect("class points are valid");
             assert!(
-                Arc::ptr_eq(planned, space),
-                "class {k} holds another space at {c:?}"
+                Arc::ptr_eq(&naive, space),
+                "class {k} holds another space than the naive one at {c:?}"
             );
         }
         union.union_with(&class);
     }
-    let planned_points = sys.point_set(sys.points().filter(|&c| plan.space(c).is_some()));
-    assert_eq!(
-        union, planned_points,
-        "classes hold exactly the covered points"
-    );
+    assert_eq!(union, valid, "classes hold exactly the valid points");
     assert!(plan
         .unplanned()
-        .eq(sys.points().filter(|&c| plan.space(c).is_none())));
+        .eq(sys.points().filter(|&c| !valid.contains(c))));
     assert_eq!(
         plan.extractions(),
-        plan.classes() + (sys.point_count() - covered),
+        plan.classes() + (sys.point_count() - valid.len()),
         "one extraction per class plus one per uncovered point"
     );
     // The plan is built once per agent and shared thereafter.
@@ -214,6 +189,158 @@ fn plan_spaces_are_the_cached_spaces_on_random_systems() {
         let assignment = &assignments[rng.index(assignments.len())];
         let agent = AgentId(rng.index(sys.agent_count()));
         assert_plan_matches_naive(&sys, assignment, agent);
+    });
+}
+
+/// The one space sweep, plan on and off, against the naive per-point
+/// spaces. `decide` counts its calls and returns the space itself as
+/// the verdict; `absorb` records each group it receives. Asserts that
+/// each distinct space is decided once, that the absorbed points
+/// partition the valid points (those before the first violating one,
+/// with the plan off), that each point's naive space is the `Arc` its
+/// verdict came from, the visit order, and that a violating assignment
+/// reports the naive error of its first violating point.
+fn assert_sweep_matches_naive(sys: &System, assignment: &Assignment, agent: AgentId) {
+    for plan_on in [true, false] {
+        let pa = ProbAssignment::new(sys, assignment.clone());
+        let mut decided: Vec<*const DensePointSpace> = Vec::new();
+        let mut groups: Vec<(Vec<PointId>, Arc<DensePointSpace>)> = Vec::new();
+        let outcome = pa.sweep_spaces(
+            agent,
+            plan_on,
+            |space| {
+                decided.push(Arc::as_ptr(space));
+                Ok::<_, AssignError>(Arc::clone(space))
+            },
+            |points, space| groups.push((points_of(sys, points), Arc::clone(space))),
+        );
+        // The naive per-point spaces, from the same space cache, in
+        // ascending (dense index) order.
+        let naive: Vec<(PointId, Result<Arc<DensePointSpace>, AssignError>)> =
+            sys.points().map(|c| (c, pa.space(agent, c))).collect();
+        let first_error = naive.iter().find_map(|(_, space)| space.clone().err());
+        assert_eq!(outcome.err(), first_error, "plan {plan_on}: first error");
+
+        // Which points the sweep must absorb: every valid point with
+        // the plan on (the plan holds them all before its unplanned
+        // points fail), and the valid points before the first failure
+        // with it off.
+        let expected: Vec<PointId> = naive
+            .iter()
+            .take_while(|(_, space)| plan_on || space.is_ok())
+            .filter(|(_, space)| space.is_ok())
+            .map(|&(c, _)| c)
+            .collect();
+        let mut absorbed = sys.empty_points();
+        let mut spaces = Vec::new();
+        for (points, space) in &groups {
+            for &c in points {
+                assert!(absorbed.insert(c), "plan {plan_on}: {c:?} absorbed twice");
+                let (d, at) = &naive[sys.point_index().index_of(c)];
+                assert_eq!(*d, c);
+                let at = at.as_ref().expect("only valid points are absorbed");
+                assert!(
+                    Arc::ptr_eq(at, space),
+                    "plan {plan_on}: {c:?}'s verdict came from another space"
+                );
+            }
+            if !spaces.contains(&Arc::as_ptr(space)) {
+                spaces.push(Arc::as_ptr(space));
+            }
+        }
+        assert_eq!(
+            absorbed,
+            sys.point_set(expected),
+            "plan {plan_on}: partition"
+        );
+        // Once per distinct space: no repeats, and nothing undecided.
+        let mut once = decided.clone();
+        once.sort();
+        once.dedup();
+        assert_eq!(
+            once.len(),
+            decided.len(),
+            "plan {plan_on}: a space decided twice"
+        );
+        spaces.sort();
+        assert_eq!(once, spaces, "plan {plan_on}: decided spaces");
+
+        // Visit order: the plan's classes in first-point order, then
+        // lone points in ascending order.
+        let plan = pa.sample_plan(agent);
+        let classes = if plan_on { plan.classes() } else { 0 };
+        assert!(groups.len() >= classes);
+        for (k, (points, space)) in groups[..classes].iter().enumerate() {
+            let (class_space, class_points) = plan.class(k);
+            assert!(Arc::ptr_eq(space, class_space), "class {k} out of order");
+            assert_eq!(*points, points_of(sys, class_points));
+        }
+        let alone: Vec<PointId> = groups[classes..]
+            .iter()
+            .map(|(points, _)| {
+                assert_eq!(points.len(), 1, "a fallback point goes alone");
+                points[0]
+            })
+            .collect();
+        assert!(alone.windows(2).all(|w| w[0] < w[1]), "fallback order");
+        if plan_on {
+            assert!(alone
+                .iter()
+                .copied()
+                .eq(plan.unplanned().filter(|c| absorbed.contains(*c))));
+        }
+    }
+}
+
+/// Custom assignments for the sweep differential: one violating REQ2
+/// everywhere, one violating it at two points of otherwise many-point
+/// classes, and two well-defined ones whose classes are single points
+/// or differ from their samples.
+fn custom_assignments() -> Vec<Assignment> {
+    let holey = |s: &System, _: AgentId, c: PointId| -> Vec<PointId> {
+        if [(9, 1), (3, 2)].contains(&(c.run, c.time)) {
+            Vec::new()
+        } else {
+            s.points_at_time(c.tree, c.time).collect()
+        }
+    };
+    vec![
+        Assignment::custom("empty", |_, _, _| vec![]),
+        Assignment::custom("holey", holey),
+        Assignment::custom("singleton", |_, _, c| vec![c]),
+        Assignment::custom("halves", |s: &System, _: AgentId, c: PointId| {
+            s.points_at_time(c.tree, c.time / 2).collect()
+        }),
+    ]
+}
+
+#[test]
+fn the_space_sweep_decides_each_space_once_on_walkthroughs() {
+    for sys in walkthrough_systems() {
+        for assignment in canonical_assignments(&sys)
+            .into_iter()
+            .chain(custom_assignments())
+        {
+            for agent in (0..sys.agent_count()).map(AgentId) {
+                assert_sweep_matches_naive(&sys, &assignment, agent);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_space_sweep_decides_each_space_once_on_random_systems() {
+    cases_sharded("space_sweep_vs_naive", |rng| {
+        let spec = if rng.chance(1, 2) {
+            arb_sync_spec(rng)
+        } else {
+            arb_async_spec(rng)
+        };
+        let sys = build(&spec);
+        for assignment in canonical_assignments(&sys) {
+            let agent = AgentId(rng.index(sys.agent_count()));
+            assert_sweep_matches_naive(&sys, &assignment, agent);
+        }
     });
 }
 
@@ -362,56 +489,11 @@ fn betting_sweeps_are_plan_invariant() {
     });
 }
 
-/// Asynchrony: `CutClass::bounds_via` over plan spaces equals
-/// `CutClass::bounds` over the freshly extracted region, for the free
-/// (`AllPoints`) class — and the delegating arms agree too.
-fn assert_cut_bounds_plan_invariant(sys: &System, rng: &mut Rng64) {
-    let agent = AgentId(rng.index(sys.agent_count()));
-    let post = ProbAssignment::new(sys, Assignment::post());
-    let plan = post.sample_plan(agent);
-    let mut phi = sys.full_points();
-    phi.retain(|_| rng.chance(1, 2));
-    for c in sys.points() {
-        let region = Assignment::post().sample(sys, agent, c);
-        let space = plan.space(c).expect("post plans cover every point");
-        let via = CutClass::AllPoints
-            .bounds_via(sys, space, &phi)
-            .expect("bounds_via");
-        let naive = CutClass::AllPoints
-            .bounds(sys, &region, &phi)
-            .expect("bounds");
-        assert_eq!(via, naive, "AllPoints bounds diverged at {c:?}");
-        // A delegating arm: Horizontal rebuilds the region from the
-        // space's elements — results (including errors) must agree.
-        match (
-            CutClass::Horizontal.bounds_via(sys, space, &phi),
-            CutClass::Horizontal.bounds(sys, &region, &phi),
-        ) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "Horizontal bounds diverged at {c:?}"),
-            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            (a, b) => panic!("Horizontal verdicts diverged at {c:?}: {a:?} vs {b:?}"),
-        }
-    }
-}
-
-#[test]
-fn cut_bounds_are_plan_invariant() {
-    cases_sharded("plan_cut_bounds_invariance", |rng| {
-        let spec = if rng.chance(1, 2) {
-            arb_sync_spec(rng)
-        } else {
-            arb_async_spec(rng)
-        };
-        let sys = build(&spec);
-        assert_cut_bounds_plan_invariant(&sys, rng);
-    });
-}
-
 #[test]
 fn prop10_still_holds_under_the_plan() {
-    // `prop10_holds` now routes its `pts` side through the posterior
-    // plan; the proposition must keep holding on the walkthroughs and
-    // random systems.
+    // `prop10_holds` compares the per-run construction with each
+    // posterior class's measures; the proposition must keep holding on
+    // the walkthroughs and random systems.
     let sys = async_coin_tosses(4).expect("builds");
     let phi = sys.points_satisfying(sys.prop_id("recent=h").expect("prop"));
     for agent in (0..sys.agent_count()).map(AgentId) {
@@ -433,26 +515,36 @@ fn custom_assignments_fall_back_with_exact_errors() {
     let p1 = AgentId(0);
 
     // An assignment that errors everywhere (REQ2): the plan covers
-    // nothing and every planned_space reports the naive error.
+    // nothing, leaves every point to the sweep's per-point path, and
+    // the sweep reports the first point's naive error, plan on or off.
     let empty = ProbAssignment::new(&sys, Assignment::custom("empty", |_, _, _| vec![]));
     let plan = empty.sample_plan(p1);
     assert!(!plan.is_batched());
     assert_eq!(plan.covered(), 0);
-    for c in sys.points() {
-        let naive = empty.space(p1, c).expect_err("REQ2 violation");
-        let planned = empty.planned_space(p1, c).expect_err("REQ2 violation");
-        assert_eq!(format!("{planned:?}"), format!("{naive:?}"));
+    assert!(plan.unplanned().eq(sys.points()));
+    let first = sys.points().next().expect("a point");
+    let naive = empty.space(p1, first).expect_err("REQ2 violation");
+    for plan_on in [true, false] {
+        let swept = empty
+            .sweep_spaces(p1, plan_on, |_| Ok::<_, AssignError>(()), |_, ()| {})
+            .expect_err("REQ2 violation");
+        assert_eq!(swept, naive);
     }
 
     // A well-defined custom assignment (singletons): per-point build,
-    // still pointer-identical to the naive path.
+    // one single-point class per point, each holding the naive `Arc`.
     let single = ProbAssignment::new(&sys, Assignment::custom("singleton", |_, _, c| vec![c]));
     let plan = single.sample_plan(p1);
     assert!(!plan.is_batched());
     assert_eq!(plan.covered(), sys.point_count());
-    for c in sys.points() {
+    assert_eq!(plan.classes(), sys.point_count());
+    for k in 0..plan.classes() {
+        let (space, points) = plan.class(k);
+        let [c] = points_of(&sys, points)[..] else {
+            panic!("class {k} is not a single point");
+        };
         let naive = single.space(p1, c).expect("singleton spaces build");
-        assert!(Arc::ptr_eq(plan.space(c).expect("covered"), &naive));
+        assert!(Arc::ptr_eq(space, &naive));
     }
 
     // Custom pr_ge sweeps stay plan-invariant too (single-point classes).

@@ -16,7 +16,7 @@ mod common;
 use common::{arb_async_spec, arb_sync_spec, build, case_seed, cases, cases_sharded, prop_names};
 use kpa::assign::{lattice, Assignment, ProbAssignment};
 use kpa::asynchrony::prop10_holds;
-use kpa::betting::{BetRule, BettingGame};
+use kpa::betting::{BetRule, BettingError, BettingGame};
 use kpa::logic::Model;
 use kpa::measure::Rat;
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
@@ -65,6 +65,57 @@ fn proposition6_on_random_systems() {
             assert!(game.proposition6_holds(&rule).unwrap());
         }
     });
+}
+
+/// Proposition 6 as a per-point loop decides it: at each point,
+/// `Tree`-safety against `Tree^j`-safety. The reference for the
+/// per-class `proposition6_holds`.
+fn proposition6_per_point(game: &BettingGame<'_>, rule: &BetRule) -> Result<bool, BettingError> {
+    for c in game.system().points() {
+        if game.tree_safe_at(c, rule)? != game.is_safe_at(c, rule)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// The per-class Proposition 6 check returns what the per-point loop
+/// returns — the same verdict, or the same error — on synchronous
+/// systems and on asynchronous ones, where the posterior winnings can
+/// be nonmeasurable and the loop's short-circuits decide which error
+/// (if any) surfaces.
+#[test]
+fn proposition6_per_class_matches_the_per_point_loop() {
+    let outcomes = Mutex::new(BTreeSet::new());
+    cases_sharded("proposition6_per_class_vs_per_point", |rng| {
+        let spec = if rng.chance(1, 2) {
+            arb_sync_spec(rng)
+        } else {
+            arb_async_spec(rng)
+        };
+        let sys = build(&spec);
+        let alpha = [Rat::new(1, 3), Rat::new(1, 2), Rat::ONE][rng.index(3)];
+        for phi_name in prop_names(&spec) {
+            let phi = sys.points_satisfying(sys.prop_id(&phi_name).unwrap());
+            let bettor = AgentId(rng.index(sys.agent_count()));
+            let opponent = AgentId(rng.index(sys.agent_count()));
+            let game = BettingGame::new(&sys, bettor, opponent);
+            let rule = BetRule::new(phi, alpha).unwrap();
+            let per_class = game.proposition6_holds(&rule);
+            assert_eq!(
+                per_class,
+                proposition6_per_point(&game, &rule),
+                "phi={phi_name} bettor={bettor:?} opponent={opponent:?} alpha={alpha}"
+            );
+            outcomes.lock().unwrap().insert(format!("{per_class:?}"));
+        }
+    });
+    // The error path is compared, not only the verdicts.
+    let outcomes = outcomes.into_inner().unwrap();
+    assert!(
+        outcomes.contains("Ok(true)") && outcomes.contains("Err(NonMeasurableWinnings)"),
+        "{outcomes:?}"
+    );
 }
 
 /// The canonical chain and Propositions 4–5 on random synchronous

@@ -87,7 +87,7 @@ fn workload() -> Outcome {
         .map(|c| model.prob_interval(p1, c, &pr_phi).expect("model checks"))
         .collect();
 
-    // Layer: asynchrony (cut bounds, plan-driven prop10 sweep).
+    // Layer: asynchrony (cut bounds, the prop10 class sweep).
     let phi_set = recent_heads(&tosses);
     let prop10 = vec![
         prop10_holds(&tosses, p1, &phi_set).expect("prop10 checks"),
@@ -114,14 +114,15 @@ fn workload() -> Outcome {
     let rule = BetRule::new(heads, rat!(1 / 2)).expect("valid rule");
     let space = game
         .opp_assignment()
-        .sample_plan(p1)
-        .space(kpa::system::PointId {
-            tree: kpa::system::TreeId(0),
-            run: 0,
-            time: 1,
-        })
-        .cloned()
-        .expect("plan covers the system");
+        .space(
+            p1,
+            kpa::system::PointId {
+                tree: kpa::system::TreeId(0),
+                run: 0,
+                time: 1,
+            },
+        )
+        .expect("opp spaces build");
     let mut rng = Rng64::new(0x5eed);
     let sim = simulate_average_winnings(
         &mut rng,
@@ -205,7 +206,7 @@ fn tracing_is_observationally_invisible() {
             && report.counter("logic.sat_eval") > 0
             && report.counter("system.builds") > 0
             && report.counter("betting.class_sweeps") > 0
-            && report.counter("async.cut_bounds_via") > 0,
+            && report.counter("async.cut_bounds") > 0,
         "the traced run must actually record the layers it visited"
     );
     assert_eq!(
