@@ -73,12 +73,12 @@ pub struct ProbAssignment<'s> {
 #[derive(Debug)]
 pub struct AssignCore {
     assignment: Assignment,
-    /// (agent, sample bitset) → the induced space, wrapped in its
-    /// precomputed dense measure kernel. Locks are held only for the
-    /// lookup/insert, never while a space is built, so concurrent
-    /// builders of one key race to insert structurally identical
-    /// spaces — results are unaffected.
-    cache: Memo<(AgentId, PointSet), Arc<DensePointSpace>>,
+    /// (agent, sample bitset) → the induced space, built into its dense
+    /// measure kernel; the space shares the key's sample. Locks are
+    /// held only for the lookup/insert, never while a space is built,
+    /// so concurrent builders of one key race to insert structurally
+    /// identical spaces — results are unaffected.
+    cache: Memo<(AgentId, Arc<PointSet>), Arc<DensePointSpace>>,
     /// Per-agent batched sample plans, built lazily on first request.
     /// `OnceLock` gives each agent exactly one builder — racers block
     /// on the winner instead of redundantly walking the whole system —
@@ -152,7 +152,7 @@ impl AssignCore {
         if !sample.is_subset(sys.tree_set(first.tree)) {
             return Err(AssignError::Req1Violated { agent, point: c });
         }
-        let key = (agent, sample);
+        let key = (agent, Arc::new(sample));
         if let Some(space) = self.cache.get(&key) {
             kpa_trace::count!("assign.space_cache_hit");
             return Ok(space);
@@ -160,13 +160,11 @@ impl AssignCore {
         kpa_trace::count!("assign.space_cache_miss");
         // Built outside the lock: concurrent sweeps may construct the
         // same space twice, but the entries are structurally equal, so
-        // whichever insert wins the results are identical.
-        let sample = &key.1;
-        let universe = Arc::clone(sample.universe());
-        let pairs = sample.iter().map(|p| (p, p.run_id()));
-        let space = BlockSpace::new(pairs, |run| sys.run_prob(*run))?;
-        let space = Arc::new(DensePointSpace::new(space, universe));
-        Ok(self.cache.insert_or_get(key, space))
+        // whichever insert wins the results are identical. The space
+        // holds the key's sample, not a copy of it.
+        let runs = Arc::clone(sys.run_probs(first.tree));
+        let space = DensePointSpace::of_sample(Arc::clone(&key.1), runs)?;
+        Ok(self.cache.insert_or_get(key, Arc::new(space)))
     }
 
     /// The batched [`SamplePlan`] for `agent` — see
@@ -247,17 +245,18 @@ impl AssignCore {
         }
     }
 
-    /// Approximate heap bytes the core holds: every cached space (the
-    /// generic space and its dense kernel) with its sample key, and the
-    /// built plans' class lists, class words and unplanned points. The
-    /// plans share the cache's spaces, so each space is counted once.
+    /// Approximate heap bytes the core holds: every cached space (its
+    /// sample, which the cache key shares, its dense kernel, and its
+    /// generic table if one was built) and the built plans' class
+    /// lists, class words and unplanned points. The plans share the
+    /// cache's spaces, so each space is counted once.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        let entry =
-            size_of::<((AgentId, PointSet), Arc<DensePointSpace>)>() + size_of::<DensePointSpace>();
-        let spaces = self.cache.fold(0, |acc, (_, sample), space| {
-            acc + entry + size_of_val(sample.as_words()) + space.heap_bytes()
-        });
+        let entry = size_of::<((AgentId, Arc<PointSet>), Arc<DensePointSpace>)>()
+            + size_of::<DensePointSpace>();
+        let spaces = self
+            .cache
+            .fold(0, |acc, _, space| acc + entry + space.heap_bytes());
         let plans: usize = self
             .plans
             .iter()
@@ -294,7 +293,7 @@ impl AssignCore {
             }
             let sample = self.sample(sys, agent, c);
             extractions += 1;
-            let Ok(space) = self.space_of_sample(sys, agent, c, sample.clone()) else {
+            let Ok(space) = self.space_of_sample(sys, agent, c, sample) else {
                 // REQ1/REQ2 violation: leave the point unplanned so the
                 // fallback path reports the identical per-point error.
                 req_skips += 1;
@@ -304,7 +303,7 @@ impl AssignCore {
                 // Canonical assignments are uniform (d ∈ S_ic implies
                 // S_id = S_ic), so the space at c is the space at every
                 // point of the sample, and the sample is c's class.
-                plan.fill_sample(space, &sample);
+                plan.fill_sample(space);
             } else {
                 plan.fill_point(space, ci);
             }
@@ -365,11 +364,12 @@ impl<'s> ProbAssignment<'s> {
         self.core.sample(self.sys, agent, c)
     }
 
-    /// The induced probability space `(S_ic, X_ic, μ_ic)`, wrapped in
-    /// its precomputed [`DensePointSpace`] word-mask kernel. The result
-    /// derefs to the generic [`PointSpace`], so callers that only need
-    /// the sample or expectations are unaffected; measure queries
-    /// against `PointSet`s dispatch to the dense path.
+    /// The induced probability space `(S_ic, X_ic, μ_ic)`, built into
+    /// its [`DensePointSpace`] word-mask kernel. The result derefs to
+    /// the generic [`PointSpace`], built on first use, so callers that
+    /// need expectations or atoms are unaffected; measure queries
+    /// against `PointSet`s dispatch to the dense path and build no
+    /// generic table.
     ///
     /// # Errors
     ///

@@ -63,7 +63,7 @@
 
 use crate::dense::DensePointSpace;
 use kpa_measure::{GroupWords, WordGroups};
-use kpa_system::{AgentId, PointId, PointIndex, PointSet};
+use kpa_system::{AgentId, PointId, PointIndex};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -208,10 +208,11 @@ impl PlanBuilder {
         self.slots[i] != UNPLANNED
     }
 
-    /// Files every not-yet-planned point of `sample` under `space` (the
-    /// batched fill: under uniformity the sample is the class).
-    pub(crate) fn fill_sample(&mut self, space: Arc<DensePointSpace>, sample: &PointSet) {
-        let class = self.class_of(space);
+    /// Files every not-yet-planned point of the sample of `space` under
+    /// it (the batched fill: under uniformity the sample is the class).
+    pub(crate) fn fill_sample(&mut self, space: Arc<DensePointSpace>) {
+        let class = self.class_of(Arc::clone(&space));
+        let sample = space.sample();
         let (lo, hi) = sample.footprint();
         for (k, &word) in sample.as_words()[lo..hi].iter().enumerate() {
             let mut rest = word;

@@ -76,8 +76,7 @@ pub fn prop10_holds(sys: &System, agent: AgentId, phi: &PointSet) -> Result<bool
         agent,
         true,
         |space| {
-            let region = sys.point_set(space.elements().iter().copied());
-            let pts = CutClass::AllPoints.bounds(sys, &region, phi)?;
+            let pts = CutClass::AllPoints.bounds(sys, space.sample(), phi)?;
             Ok::<_, AsyncError>(pts == space.measure_interval(phi))
         },
         |_, &holds| all &= holds,

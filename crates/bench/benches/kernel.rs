@@ -31,7 +31,9 @@
 //!
 //! After the timed sections, a traced pass re-runs each row's workload
 //! once under `kpa-trace` and asserts — via the kernel fallback
-//! counters — that the dense rows actually exercised the dense path.
+//! counters — that the dense rows actually exercised the dense path,
+//! and that the `sat`, `K^α` and `pr_ge_family` rows built no generic
+//! table (`assign.generic_built`).
 //! Each traced row's wall time also feeds the `bench.row_ns` rolling
 //! window, so the exported trace report exercises the schema-v2
 //! `windowed` and `spans` sections end to end.
@@ -533,6 +535,29 @@ fn main() {
     assert_eq!(
         dense_fallbacks, 0,
         "dense row must not fall back to the generic element scan"
+    );
+    // The rows that stand for the query paths build spaces straight
+    // into their kernels: none of them builds a generic table on
+    // demand (the cold `K^α` row builds every space it sweeps).
+    for (label, row) in &row_deltas {
+        if ["kernel_sat/", "kernel_k_alpha/", "pr_ge_family/"]
+            .iter()
+            .any(|prefix| label.starts_with(prefix))
+        {
+            assert_eq!(
+                row.get("assign.generic_built").copied().unwrap_or(0),
+                0,
+                "{label} must build no generic table"
+            );
+        }
+    }
+    assert!(
+        row_deltas[&format!("kernel_k_alpha/fresh_fut/{n_points}")]
+            .get("assign.space_cache_miss")
+            .copied()
+            .unwrap_or(0)
+            > 0,
+        "the cold K^α row must build its spaces"
     );
     // ... and its scans must go through the 4-wide block loop (the
     // counter the TRACE gate requires positive since the wide kernels).

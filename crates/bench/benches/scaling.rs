@@ -8,10 +8,11 @@ use kpa_assign::{Assignment, ProbAssignment};
 use kpa_asynchrony::prop10_holds;
 use kpa_bench::{bench_time, default_reps};
 use kpa_betting::{BetRule, BettingGame};
-use kpa_logic::Model;
+use kpa_logic::{Model, ModelArtifact};
 use kpa_measure::Rat;
 use kpa_protocols::{async_coin_tosses, ca2, coordination_formula, recent_heads};
 use kpa_system::{AgentId, ProtocolBuilder};
+use std::sync::Arc;
 
 /// Building the n-toss asynchronous system (2^n runs).
 fn bench_system_construction(reps: u32) {
@@ -41,6 +42,18 @@ fn bench_assignment_induction(reps: u32) {
             }
             acc
         });
+    }
+}
+
+/// Building the query artifact of the n-toss asynchronous system under
+/// `post`: every agent's sample plan, with each space built into its
+/// kernel. Prints the fresh artifact's resident bytes under the time.
+fn bench_artifact_build(reps: u32) {
+    for n in [8usize, 10, 11] {
+        let sys = Arc::new(async_coin_tosses(n).expect("builds"));
+        let build = || ModelArtifact::new(Arc::clone(&sys), Assignment::post());
+        bench_time(&format!("scale_artifact_build/{n}"), reps, build);
+        println!("  {} resident bytes fresh", build().approx_resident_bytes());
     }
 }
 
@@ -129,6 +142,7 @@ fn main() {
     println!("scaling benchmarks (best of {reps})\n");
     bench_system_construction(reps);
     bench_assignment_induction(reps);
+    bench_artifact_build(reps);
     bench_common_knowledge(reps);
     bench_safety_decision(reps);
     bench_proposition6(reps);

@@ -139,9 +139,9 @@ pub fn inner_expected_winnings(
     strategy: &Strategy,
 ) -> Result<Rat, BettingError> {
     let mut offers = space
-        .elements()
+        .sample()
         .iter()
-        .map(|&p| strategy.offer_at(sys, opponent, p));
+        .map(|p| strategy.offer_at(sys, opponent, p));
     let first = offers.next().expect("spaces are nonempty");
     if offers.any(|o| o != first) {
         return Err(BettingError::NonConstantOffer);

@@ -1021,6 +1021,66 @@ mod tests {
         );
     }
 
+    /// Clockless p1 and clocked p2 watching `n` fair tosses: p1's
+    /// posterior spaces hold several points per run.
+    fn clockless_tosses(n: usize) -> System {
+        let mut b = ProtocolBuilder::new(["p1", "p2"]).clockless("p1");
+        for k in 0..n {
+            b = b.step(&format!("c{k}"), move |_| {
+                ["h", "t"]
+                    .map(|o| {
+                        let branch = kpa_system::Branch::new(rat!(1 / 2))
+                            .transient_prop(&format!("recent={o}"));
+                        if k == 0 {
+                            branch.observe("p1", "go")
+                        } else {
+                            branch
+                        }
+                    })
+                    .to_vec()
+            });
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn queries_build_no_generic_table() {
+        let artifact = ModelArtifact::new(Arc::new(clockless_tosses(3)), Assignment::post());
+        let sys = artifact.system();
+        let ctx = artifact.ctx();
+        let (p1, p2) = (AgentId(0), AgentId(1));
+        let recent = Formula::prop("recent=h");
+        let half = rat!(1 / 2);
+        ctx.sat(&recent.clone().pr_ge(p1, half).known_by(p2))
+            .unwrap();
+        ctx.sat(&recent.clone().k_alpha(p1, half)).unwrap();
+        ctx.sat(&recent.clone().k_interval(p2, rat!(1 / 4), half))
+            .unwrap();
+        ctx.pr_ge_family(p1, &[rat!(1 / 8), half, Rat::ONE], &recent)
+            .unwrap();
+        ctx.prob_interval(p1, pt(0, 0, 2), &recent).unwrap();
+        let mut seen = HashSet::new();
+        let mut spaces = Vec::new();
+        for agent in [p1, p2] {
+            let plan = artifact.core().sample_plan(sys, agent);
+            for k in 0..plan.classes() {
+                let (space, _) = plan.class(k);
+                if seen.insert(Arc::as_ptr(space)) {
+                    spaces.push(Arc::clone(space));
+                }
+            }
+        }
+        assert!(spaces.len() > 2);
+        assert!(spaces.iter().all(|s| s.has_kernel() && !s.has_generic()));
+        // Dereferencing one space builds its table, and the gauge
+        // counts that table alone.
+        let before = artifact.approx_resident_bytes();
+        assert_eq!(spaces[0].elements().len(), spaces[0].sample().len());
+        let built = spaces[0].generic().heap_bytes() as u64;
+        assert_eq!(artifact.approx_resident_bytes(), before + built);
+        assert!(spaces[1..].iter().all(|s| !s.has_generic()));
+    }
+
     #[test]
     fn prob_interval_matches_the_assignment() {
         let sys = intro_system();

@@ -43,9 +43,14 @@
 //! block scan accumulates, and no partial sum can overflow: it is at
 //! most `Σ_b n_b ≤ i128::MAX`.
 //!
-//! Construction returns `None` (callers fall back to the generic scan)
-//! if the element→bit mapping is not injective or the common-denominator
-//! table would overflow `i128` range.
+//! A kernel is built from a sample's bits, the block of each bit and
+//! the block weights ([`DenseKernel::from_bits`]), so a caller that
+//! holds its sample as a bitset builds no generic space on the way;
+//! [`DenseKernel::from_space`] feeds it a [`crate::BlockSpace`]'s own
+//! tables. Construction returns `None` (callers fall back to the
+//! generic scan) if the bits are not strictly ascending (the
+//! element→bit mapping is lossy or out of order) or the
+//! common-denominator table would overflow `i128` range.
 //!
 //! # Wide scans and footprint skips
 //!
@@ -348,66 +353,57 @@ fn weight_table(block_weight: &[Rat]) -> Option<(Vec<u128>, u128)> {
 }
 
 impl DenseKernel {
-    /// Builds the kernel for `space`, mapping each sample element to its
-    /// dense bit index via `bit_of`. A space whose blocks are all single
+    /// Builds the kernel of a sample laid out in the dense bit layout:
+    /// `bits[k]` is the bit index of the sample's `k`-th element,
+    /// strictly ascending (as a set's bits are), `block_of[k]` is that
+    /// element's block, and `block_weight[b]` is the weight of block
+    /// `b`. Blocks are numbered by first element, partition the sample
+    /// and weigh more than zero. A sample whose blocks are all single
     /// points gets the points layout, any other the blocks layout.
     ///
-    /// The mapping must agree with the word layout of the sets that will
+    /// The bits must agree with the word layout of the sets that will
     /// be queried (bit `i` of word `i / 64` ⇔ dense index `i`). Returns
     /// `None` — callers keep the generic path — when:
     ///
-    /// * `bit_of` returns `None` for some element, or maps two elements
-    ///   to the same bit (a lossy layout would corrupt trace masks), or
+    /// * `bits` is empty or not strictly ascending (a repeated bit
+    ///   would corrupt the trace masks), or
     /// * the common-denominator weight table overflows (`lcm` of the
     ///   weight denominators, any scaled numerator, or their sum exceeds
     ///   `i128::MAX`).
     #[must_use]
-    pub fn from_space<E: Ord + Clone>(
-        space: &BlockSpace<E>,
-        mut bit_of: impl FnMut(&E) -> Option<usize>,
+    pub fn from_bits(
+        mut bits: Vec<usize>,
+        block_of: &[usize],
+        block_weight: &[Rat],
     ) -> Option<DenseKernel> {
-        let mut bits = Vec::with_capacity(space.elems.len());
-        let mut min_bit = usize::MAX;
-        let mut max_bit = 0usize;
-        for e in &space.elems {
-            let b = bit_of(e)?;
-            min_bit = min_bit.min(b);
-            max_bit = max_bit.max(b);
-            bits.push(b);
+        debug_assert_eq!(bits.len(), block_of.len(), "a block per element");
+        let (&min_bit, &max_bit) = (bits.first()?, bits.last()?);
+        if bits.windows(2).any(|w| w[0] >= w[1]) {
+            kpa_trace::count!("measure.kernel_reject_lossy");
+            return None;
         }
-        debug_assert!(!bits.is_empty(), "constructed spaces are non-empty");
         let first_word = min_bit / 64;
         let span_words = max_bit / 64 - first_word + 1;
-
-        // The injectivity check, against a scratch mask over the span;
-        // from here on bits are span-relative.
-        let mut sample = vec![0u64; span_words];
-        for bit in &mut bits {
-            *bit -= first_word * 64;
-            let (w, mask) = (*bit / 64, 1u64 << (*bit % 64));
-            if sample[w] & mask != 0 {
-                kpa_trace::count!("measure.kernel_reject_lossy");
-                return None; // non-injective layout
-            }
-            sample[w] |= mask;
-        }
-        drop(sample);
 
         // Overflow anywhere in the weight table ⇒ fall back to the
         // generic scan (counted, so the bench can prove the dense path
         // ran).
-        let Some((weight_num, total_num)) = weight_table(&space.block_weight) else {
+        let Some((weight_num, total_num)) = weight_table(block_weight) else {
             kpa_trace::count!("measure.kernel_reject_overflow");
             return None;
         };
+        // From here on bits are span-relative.
+        for bit in &mut bits {
+            *bit -= first_word * 64;
+        }
         // Blocks partition the sample and none is empty, so as many
         // blocks as elements means every block is one point.
         let (layout, footprint_words) = if weight_num.len() == bits.len() {
-            let points = Points::new(&bits, &space.block_of, &weight_num);
+            let points = Points::new(&bits, block_of, &weight_num);
             let stored = points.groups.stored_words();
             (Layout::Points(points), stored)
         } else {
-            let blocks = Blocks::new(&bits, &space.block_of, weight_num);
+            let blocks = Blocks::new(&bits, block_of, weight_num);
             let footprint = blocks.traces.len();
             (Layout::Blocks(blocks), footprint)
         };
@@ -421,6 +417,21 @@ impl DenseKernel {
             total_num,
             footprint_words,
         })
+    }
+
+    /// Builds the kernel for `space`, mapping each sample element to its
+    /// dense bit index via `bit_of`: [`DenseKernel::from_bits`] over
+    /// the space's elements, blocks and block weights. Returns `None`
+    /// when `bit_of` returns `None` for some element or does not keep
+    /// the elements' order (two elements on one bit, or out of order),
+    /// and when the weight table overflows.
+    #[must_use]
+    pub fn from_space<E: Ord + Clone>(
+        space: &BlockSpace<E>,
+        bit_of: impl FnMut(&E) -> Option<usize>,
+    ) -> Option<DenseKernel> {
+        let bits = space.elems.iter().map(bit_of).collect::<Option<Vec<_>>>()?;
+        DenseKernel::from_bits(bits, &space.block_of, &space.block_weight)
     }
 
     /// The number of blocks the kernel covers.
@@ -794,6 +805,15 @@ mod tests {
         assert!(DenseKernel::from_space(&space, |_| Some(0)).is_none());
         // Unmappable element.
         assert!(DenseKernel::from_space(&space, |_| None).is_none());
+        // Out of element order.
+        assert!(DenseKernel::from_space(&space, |&e| Some(1 - e as usize)).is_none());
+        assert!(DenseKernel::from_bits(Vec::new(), &[], &[]).is_none());
+        // The space's own tables through `from_bits` give the same
+        // kernel as `from_space`.
+        let (space, kernel) = two_toss();
+        let bits = (0..8).collect();
+        let direct = DenseKernel::from_bits(bits, &space.block_of, &space.block_weight);
+        assert_eq!(direct, Some(kernel));
     }
 
     #[test]

@@ -87,6 +87,9 @@ pub struct System {
     empty: PointSet,
     /// Per tree: the set of that tree's points.
     tree_sets: Vec<PointSet>,
+    /// Per tree: the run probabilities, indexed by run and shared with
+    /// every sample space over the tree.
+    run_probs: Vec<Arc<[Rat]>>,
     /// Per tree: cumulative run probabilities (`cum[i] = Σ_{j ≤ i} prob`),
     /// binary-searched by [`System::run_at_cumulative`].
     cum_probs: Vec<Vec<Rat>>,
@@ -328,6 +331,18 @@ impl System {
     #[must_use]
     pub fn run_prob(&self, run: RunId) -> Rat {
         self.tree(run.tree).runs()[run.index].prob()
+    }
+
+    /// The probabilities of one tree's runs, indexed by run: one shared
+    /// table, so a sample space can weigh its runs without holding the
+    /// system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn run_probs(&self, tree: TreeId) -> &Arc<[Rat]> {
+        &self.run_probs[tree.0]
     }
 
     /// The set of runs passing through a set of points (`R(S)` in §5).
@@ -707,6 +722,11 @@ impl SystemBuilder {
                 set
             })
             .collect();
+        let run_probs = self
+            .trees
+            .iter()
+            .map(|t| t.runs().iter().map(|r| r.prob()).collect())
+            .collect();
         let cum_probs = self
             .trees
             .iter()
@@ -731,6 +751,7 @@ impl SystemBuilder {
             by_local: Vec::new(),
             empty,
             tree_sets,
+            run_probs,
             cum_probs,
             synchronous: false,
         };

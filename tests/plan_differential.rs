@@ -6,7 +6,7 @@
 //! the plan's classes or through the naive per-point `sample → space`
 //! path.
 //!
-//! Three layers of pinning:
+//! Four layers of pinning:
 //!
 //! 1. **Pointer identity** — the plan canonicalizes through the same
 //!    per-sample cache as `ProbAssignment::space`, so a class's space
@@ -18,6 +18,10 @@
 //!    asynchronous systems.
 //! 3. **Error identity** — an assignment violating REQ1/REQ2 reports
 //!    the naive error of its first violating point, plan on or off.
+//! 4. **Construction identity** — each space is built straight from
+//!    its sample into its kernel, and its generic table separately on
+//!    demand; both equal what an eager `BlockSpace` of the same sample
+//!    gives.
 
 mod common;
 
@@ -25,9 +29,10 @@ use common::{arb_async_spec, arb_sync_spec, build, cases, cases_sharded, prop_na
 use kpa::assign::{AssignError, Assignment, DensePointSpace, ProbAssignment};
 use kpa::betting::{inner_expected_winnings, BetRule, BettingGame, Strategy};
 use kpa::logic::{Formula, LogicError, Model};
-use kpa::measure::{rat, GroupWords, Rat, Rng64};
+use kpa::measure::{rat, BlockSpace, DenseKernel, GroupWords, Rat, Rng64};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, PointId, System, TreeId};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The paper walkthrough systems: the introduction's secret coin, the
@@ -340,6 +345,77 @@ fn the_space_sweep_decides_each_space_once_on_random_systems() {
         for assignment in canonical_assignments(&sys) {
             let agent = AgentId(rng.index(sys.agent_count()));
             assert_sweep_matches_naive(&sys, &assignment, agent);
+        }
+    });
+}
+
+/// The direct construction against an eager generic table: for every
+/// distinct space of every agent, the kernel built straight from the
+/// sample equals `DenseKernel::from_space` over `BlockSpace::new` of
+/// the same `(point, run)` pairs and run probabilities, the generic
+/// table built on demand equals that `BlockSpace`, and `has_kernel`
+/// agrees. Before its first use a space holds a generic table only if
+/// it has no kernel. Returns how many spaces it checked.
+fn assert_direct_build_matches_eager(sys: &System, assignment: &Assignment) -> usize {
+    let pa = ProbAssignment::new(sys, assignment.clone());
+    let mut checked = 0;
+    for agent in (0..sys.agent_count()).map(AgentId) {
+        let mut seen = HashSet::new();
+        for c in sys.points() {
+            let Ok(space) = pa.space(agent, c) else {
+                continue;
+            };
+            if !seen.insert(Arc::as_ptr(&space)) {
+                continue;
+            }
+            let at = format!("{} at {c:?} for {agent:?}", assignment.name());
+            assert_eq!(*space.sample(), pa.sample(agent, c), "{at}: sample");
+            assert_eq!(
+                space.has_generic(),
+                !space.has_kernel(),
+                "{at}: eager table"
+            );
+            let pairs = space.sample().iter().map(|p| (p, p.run_id()));
+            let eager = BlockSpace::new(pairs, |r| sys.run_prob(*r)).expect("eager space builds");
+            let kernel = DenseKernel::from_space(&eager, |p| sys.point_index().try_index_of(*p));
+            assert_eq!(space.has_kernel(), kernel.is_some(), "{at}: has_kernel");
+            assert!(space.kernel() == kernel.as_ref(), "{at}: kernel");
+            assert!(*space.generic() == eager, "{at}: generic table");
+            assert!(space.has_generic());
+            checked += 1;
+        }
+    }
+    checked
+}
+
+#[test]
+fn direct_space_builds_match_eager_generic_tables_on_walkthroughs() {
+    for sys in walkthrough_systems() {
+        let mut checked = 0;
+        for assignment in canonical_assignments(&sys)
+            .into_iter()
+            .chain(custom_assignments())
+        {
+            checked += assert_direct_build_matches_eager(&sys, &assignment);
+        }
+        assert!(checked > 0, "no space checked");
+    }
+}
+
+#[test]
+fn direct_space_builds_match_eager_generic_tables_on_random_systems() {
+    cases_sharded("direct_vs_eager_spaces", |rng| {
+        let spec = if rng.chance(1, 2) {
+            arb_sync_spec(rng)
+        } else {
+            arb_async_spec(rng)
+        };
+        let sys = build(&spec);
+        for assignment in canonical_assignments(&sys)
+            .into_iter()
+            .chain(custom_assignments())
+        {
+            assert_direct_build_matches_eager(&sys, &assignment);
         }
     });
 }
