@@ -8,11 +8,13 @@ use kpa_assign::{Assignment, ProbAssignment};
 use kpa_asynchrony::prop10_holds;
 use kpa_bench::{bench_time, default_reps};
 use kpa_betting::{BetRule, BettingGame};
-use kpa_logic::{Model, ModelArtifact};
-use kpa_measure::Rat;
+use kpa_logic::{EvalCtx, Formula, Model, ModelArtifact};
+use kpa_measure::{Rat, Rng64};
 use kpa_protocols::{async_coin_tosses, ca2, coordination_formula, recent_heads};
 use kpa_system::{AgentId, ProtocolBuilder};
+use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Building the n-toss asynchronous system (2^n runs).
 fn bench_system_construction(reps: u32) {
@@ -54,6 +56,125 @@ fn bench_artifact_build(reps: u32) {
         let build = || ModelArtifact::new(Arc::clone(&sys), Assignment::post());
         bench_time(&format!("scale_artifact_build/{n}"), reps, build);
         println!("  {} resident bytes fresh", build().approx_resident_bytes());
+    }
+}
+
+/// One call of a cold query stream: a formula, or a threshold family
+/// over a body.
+enum ColdCall {
+    Sat(Formula),
+    Family(AgentId, Vec<Rat>, Formula),
+}
+
+impl ColdCall {
+    fn answer(&self, ctx: &EvalCtx<'_>) {
+        match self {
+            ColdCall::Sat(f) => drop(ctx.sat(f).expect("model checks")),
+            ColdCall::Family(i, alphas, f) => {
+                drop(ctx.pr_ge_family(*i, alphas, f).expect("model checks"));
+            }
+        }
+    }
+}
+
+/// A random boolean combination of `props`, at most `depth`
+/// connectives deep, a quarter of its atoms negated.
+fn cold_body(rng: &mut Rng64, props: &[&str], depth: usize) -> Formula {
+    if depth == 0 || rng.chance(3, 10) {
+        let p = Formula::prop(*rng.choose(props));
+        return if rng.chance(1, 4) { p.not() } else { p };
+    }
+    let (l, r) = (
+        cold_body(rng, props, depth - 1),
+        cold_body(rng, props, depth - 1),
+    );
+    let f = if rng.chance(1, 2) {
+        Formula::and([l, r])
+    } else {
+        Formula::or([l, r])
+    };
+    if rng.chance(1, 6) {
+        f.not()
+    } else {
+        f
+    }
+}
+
+/// A threshold in (0, 1) with a denominator from 2 to 16.
+fn cold_alpha(rng: &mut Rng64) -> Rat {
+    let den = 2 + rng.below(15);
+    Rat::new(i128::from(1 + rng.below(den - 1)), i128::from(den))
+}
+
+/// `count` distinct calls over `sys`, drawn from a fixed seed: 3 in 10
+/// are `Pr_i ≥ α φ`, 2 in 10 `K_i^α φ`, 2 in 10 `K_i(φ ∨ ψ)`, 1 in 10
+/// `C_{p1,p2}(φ ∨ ψ)` and 2 in 10 a family of five thresholds over φ,
+/// every body at most three connectives deep.
+fn cold_calls(sys: &kpa_system::System, count: usize) -> Vec<ColdCall> {
+    let mut rng = Rng64::new(0xC01D);
+    let props = sys.prop_names();
+    let agents: Vec<AgentId> = (0..sys.agent_count()).map(AgentId).collect();
+    let mut seen = BTreeSet::new();
+    let mut calls = Vec::with_capacity(count);
+    while calls.len() < count {
+        let i = *rng.choose(&agents);
+        let f = cold_body(&mut rng, &props, 3);
+        let call = match rng.below(10) {
+            0..=2 => ColdCall::Sat(f.pr_ge(i, cold_alpha(&mut rng))),
+            3 | 4 => ColdCall::Sat(f.k_alpha(i, cold_alpha(&mut rng))),
+            5 | 6 => ColdCall::Sat(Formula::or([f, cold_body(&mut rng, &props, 3)]).known_by(i)),
+            7 => ColdCall::Sat(
+                Formula::or([f, cold_body(&mut rng, &props, 3)]).common([AgentId(0), AgentId(1)]),
+            ),
+            _ => {
+                let mut alphas = BTreeSet::new();
+                while alphas.len() < 5 {
+                    alphas.insert(cold_alpha(&mut rng));
+                }
+                ColdCall::Family(i, alphas.into_iter().collect(), f)
+            }
+        };
+        let key = match &call {
+            ColdCall::Sat(f) => f.to_string(),
+            ColdCall::Family(i, alphas, f) => format!("{i:?} {alphas:?} {f}"),
+        };
+        if seen.insert(key) {
+            calls.push(call);
+        }
+    }
+    calls
+}
+
+/// A cold query stream on the n-toss asynchronous system under `post`:
+/// a fresh artifact answers 1,000 distinct seeded calls (see
+/// [`cold_calls`]), so each call misses every memo. The row is the
+/// best block of `reps` (each on its own artifact, after a warm-up
+/// block); under it, the time and the artifact's resident-bytes growth
+/// per call.
+fn bench_cold_memo(reps: u32) {
+    for n in [8usize, 10, 11] {
+        let sys = Arc::new(async_coin_tosses(n).expect("builds"));
+        let calls = cold_calls(&sys, 1_000);
+        let mut best = Duration::MAX;
+        let mut grown = 0;
+        for pass in 0..=reps.max(1) {
+            let artifact = ModelArtifact::new(Arc::clone(&sys), Assignment::post());
+            let ctx = artifact.ctx();
+            let before = artifact.approx_resident_bytes();
+            let t0 = Instant::now();
+            calls.iter().for_each(|call| call.answer(&ctx));
+            if pass > 0 {
+                best = best.min(t0.elapsed());
+            }
+            grown = artifact.approx_resident_bytes() - before;
+        }
+        let per_call = calls.len() as u64;
+        println!("{:<48} {best:>12.2?}", format!("scale_cold_memo/{n}"));
+        println!(
+            "  {:.2} µs and {} resident bytes per call",
+            best.as_secs_f64() * 1e6 / per_call as f64,
+            grown / per_call
+        );
     }
 }
 
@@ -143,6 +264,7 @@ fn main() {
     bench_system_construction(reps);
     bench_assignment_induction(reps);
     bench_artifact_build(reps);
+    bench_cold_memo(reps);
     bench_common_knowledge(reps);
     bench_safety_decision(reps);
     bench_proposition6(reps);

@@ -50,10 +50,13 @@ use std::sync::Arc;
 ///   compiled path never reads or fills it, so an artifact's stays
 ///   empty;
 /// * `terms` — interned [`TermId`] → satisfaction set: **one** unified
-///   per-subterm memo covering every node of the compiled DAG — whole
-///   compiled formulas included, under their root — *and* the
-///   set-level `K_i ⌜S⌝` / `Pr_i ≥ α ⌜S⌝` queries (quoted as
-///   [`Term::Lit`] leaves). This replaced the separate
+///   per-subterm memo for the compiled DAG — every root a caller asked
+///   for (a `sat` formula, a threshold family's body), every leaf, and
+///   every modal and temporal node — *and* the set-level `K_i ⌜S⌝` /
+///   `Pr_i ≥ α ⌜S⌝` queries (quoted as [`Term::Lit`] leaves). A `¬`,
+///   `∧` or `∨` below the root is not kept: one word-wise pass over its
+///   children's sets re-derives it, and keeping each such full-universe
+///   set held most of the memo's bytes. This map replaced the separate
 ///   `(agent, set)`-keyed knows memo — one map means the structural
 ///   and set-level caches cannot drift.
 ///
@@ -175,10 +178,13 @@ impl EvalView<'_> {
     /// subterm shared with *any* previously compiled query is a single
     /// memo hit instead of a re-walk. The whole formula is looked up
     /// under its root in the subterm memo — the compiled path's one
-    /// memo (`logic.sat_cache_hit` / `_miss` count that lookup) — so
-    /// with the memo off nothing is cached. Bit-identical to
-    /// [`EvalView::sat`] — same arm logic, same visit order, same
-    /// error discovery — pinned by `tests/compile_differential.rs`.
+    /// memo (`logic.sat_cache_hit` / `_miss` count that lookup) — and
+    /// filed there whatever its kind, so a repeat returns the same
+    /// `Arc`; with the memo off nothing is cached. Below the root,
+    /// [`EvalView::eval_term`] says which subterms the memo keeps.
+    /// Bit-identical to [`EvalView::sat`] — same arm logic, same visit
+    /// order, same error discovery — pinned by
+    /// `tests/compile_differential.rs`.
     pub(crate) fn sat_compiled(&self, f: &Formula) -> Result<Arc<PointSet>, LogicError> {
         let root = self.arena.intern(f);
         if let Some(memo) = &self.memos.terms {
@@ -191,43 +197,63 @@ impl EvalView<'_> {
             kpa_trace::count!("logic.subterm_memo.miss");
         }
         let compiled = self.arena.program(root);
-        self.eval_node(root, &compiled, &mut vec![None; compiled.len()])
+        self.eval_node(root, &compiled, &mut vec![None; compiled.len()], true)
     }
 
-    /// Evaluates one interned subterm, recursing over the DAG in
-    /// exactly the order the tree walker visits the AST (children left
-    /// to right, `C_G` group checks before bodies). `env`, indexed by
-    /// program position, collapses repeats *within* this evaluation
-    /// even when the shared memo is disabled; the shared `terms` memo
-    /// collapses repeats across queries, contexts, and threads.
+    /// Evaluates one interned subterm below the root, recursing over
+    /// the DAG in exactly the order the tree walker visits the AST
+    /// (children left to right, `C_G` group checks before bodies).
+    /// `env`, indexed by program position, collapses repeats *within*
+    /// this evaluation even when the shared memo is disabled; the
+    /// shared `terms` memo collapses repeats across queries, contexts,
+    /// and threads, for leaves and modal and temporal nodes. A `¬`, `∧`
+    /// or `∨` below the root skips the memo and lives only in `env`:
+    /// one word-wise pass over its children's sets re-derives it, while
+    /// keeping it would hold a full-universe set for the artifact's
+    /// life.
     fn eval_term(
         &self,
         id: TermId,
         compiled: &CompiledFormula,
         env: &mut [Option<Arc<PointSet>>],
     ) -> Result<Arc<PointSet>, LogicError> {
-        let at = compiled.def(id).0;
+        let (at, term) = compiled.def(id);
         if let Some(hit) = &env[at] {
             return Ok(Arc::clone(hit));
         }
+        if term.is_connective() {
+            return self.eval_node(id, compiled, env, false);
+        }
+        self.eval_memoized(id, compiled, env)
+    }
+
+    /// Subterm `id` through the shared memo, whatever its kind: a hit,
+    /// or the evaluated set filed under `id`.
+    fn eval_memoized(
+        &self,
+        id: TermId,
+        compiled: &CompiledFormula,
+        env: &mut [Option<Arc<PointSet>>],
+    ) -> Result<Arc<PointSet>, LogicError> {
         if let Some(memo) = &self.memos.terms {
             if let Some(hit) = memo.get(&id) {
                 kpa_trace::count!("logic.subterm_memo.hit");
-                env[at] = Some(Arc::clone(&hit));
+                env[compiled.def(id).0] = Some(Arc::clone(&hit));
                 return Ok(hit);
             }
             kpa_trace::count!("logic.subterm_memo.miss");
         }
-        self.eval_node(id, compiled, env)
+        self.eval_node(id, compiled, env, true)
     }
 
-    /// Evaluates subterm `id` itself, after its memo lookups missed, and
-    /// files the answer in the memo and in `env`.
+    /// Evaluates subterm `id` itself, after its lookups missed, and
+    /// files the answer in `env` and, when `keep` is set, in the memo.
     fn eval_node(
         &self,
         id: TermId,
         compiled: &CompiledFormula,
         env: &mut [Option<Arc<PointSet>>],
+        keep: bool,
     ) -> Result<Arc<PointSet>, LogicError> {
         // One evaluated DAG node (mirrors `logic.sat_eval` on the tree
         // path; shared subterms are counted once, not once per parent).
@@ -288,8 +314,8 @@ impl EvalView<'_> {
             }
         };
         let shared = match &self.memos.terms {
-            Some(memo) => memo.insert_or_get(id, result),
-            None => result,
+            Some(memo) if keep => memo.insert_or_get(id, result),
+            _ => result,
         };
         env[at] = Some(Arc::clone(&shared));
         Ok(shared)
@@ -316,7 +342,7 @@ impl EvalView<'_> {
         let root = self.arena.intern(f);
         let body = || -> Result<Arc<PointSet>, LogicError> {
             let body = self.arena.program(root);
-            self.eval_term(root, &body, &mut vec![None; body.len()])
+            self.eval_memoized(root, &body, &mut vec![None; body.len()])
         };
         let Some(memo) = &self.memos.terms else {
             let sets = self.family_sweep(agent, alphas, &*body()?)?;
@@ -675,9 +701,11 @@ impl ModelArtifact {
     }
 
     /// How many interned-subterm entries the shared per-subterm memo
-    /// holds (compiled DAG nodes plus set-level `K_i ⌜S⌝` /
-    /// `Pr_i ≥ α ⌜S⌝` queries — the unified map that replaced the
-    /// separate knows-set memo).
+    /// holds: the roots of answered queries, their leaves and modal and
+    /// temporal nodes, and the set-level `K_i ⌜S⌝` / `Pr_i ≥ α ⌜S⌝`
+    /// queries — the unified map that replaced the separate knows-set
+    /// memo. A `¬`, `∧` or `∨` below a root has no entry: it is
+    /// recomputed from its children.
     #[must_use]
     pub fn subterm_memo_len(&self) -> usize {
         self.memos.terms.as_ref().map_or(0, Memo::len)
@@ -776,10 +804,12 @@ impl<'m> EvalCtx<'m> {
     /// warming) the artifact's shared memos.
     ///
     /// Contexts evaluate through the formula compiler: `f` is
-    /// hash-consed into the artifact's shared DAG and every distinct
-    /// subterm's satisfaction set is memoized under its interned id, so
-    /// a query stream sharing subterms (the workload `kpa-serve`
-    /// batches) pays for each subterm once across all contexts.
+    /// hash-consed into the artifact's shared DAG, and the satisfaction
+    /// sets of `f` itself and of every leaf and modal or temporal
+    /// subterm are memoized under their interned ids, so a query stream
+    /// sharing subterms (the workload `kpa-serve` batches) pays for each
+    /// `K_i`, `Pr_i ≥ α` or `C_G` once across all contexts. A `¬`, `∧`
+    /// or `∨` below `f` is one word-wise pass, recomputed per query.
     /// Results are bit-identical to the tree walker
     /// ([`Model::sat`](crate::Model::sat)) by construction — pinned by
     /// `tests/compile_differential.rs`.
@@ -1079,6 +1109,91 @@ mod tests {
         let built = spaces[0].generic().heap_bytes() as u64;
         assert_eq!(artifact.approx_resident_bytes(), before + built);
         assert!(spaces[1..].iter().all(|s| !s.has_generic()));
+    }
+
+    /// Three fair coins: p1 sees the first, p2 the second, both the
+    /// third, so each agent has several classes and spaces.
+    fn three_coins() -> System {
+        let fair = [("h", rat!(1 / 2)), ("t", rat!(1 / 2))];
+        ProtocolBuilder::new(["p1", "p2"])
+            .coin("c0", &fair, &["p1"])
+            .coin("c1", &fair, &["p2"])
+            .coin("c2", &fair, &["p1", "p2"])
+            .build()
+            .unwrap()
+    }
+
+    /// The memo keeps what is costly to recompute and no connective
+    /// below a root: after cold calls of each kind over depth-3
+    /// bodies, every `Prop`, every modal node and every call's root
+    /// is a key, no interior `¬`, `∧` or `∨` is, and a repeat `sat`
+    /// returns the memo's own `Arc`. Checked on the memo's keys, not
+    /// on the process-wide counters other tests share.
+    #[test]
+    fn the_memo_keeps_roots_leaves_and_modal_nodes() {
+        let artifact = ModelArtifact::new(Arc::new(three_coins()), Assignment::post());
+        let ctx = artifact.ctx();
+        let (p1, p2) = (AgentId(0), AgentId(1));
+        let p = Formula::prop;
+        let phi = Formula::or([
+            Formula::and([p("c0=h"), p("c1=t").not()]),
+            Formula::and([p("c2=h"), Formula::or([p("c0=t"), p("c1=h")])]).not(),
+        ]);
+        let psi = Formula::and([Formula::or([p("c1=h"), p("c2=t").not()]).not(), p("c0=h")]);
+        let sats = [
+            phi.clone().pr_ge(p1, rat!(1 / 2)),
+            psi.clone().k_alpha(p2, rat!(1 / 3)),
+            Formula::or([phi.clone(), psi.clone()]).known_by(p1),
+            Formula::or([psi.clone(), phi.clone()]).common([p1, p2]),
+            // A connective root keeps its entry.
+            Formula::and([phi.clone().known_by(p2), psi.clone().not()]),
+        ];
+        let family = Formula::or([psi.clone(), p("c2=h")]).not();
+        let cold: Vec<Arc<PointSet>> = sats.iter().map(|f| ctx.sat(f).unwrap()).collect();
+        ctx.pr_ge_family(p1, &[rat!(1 / 4), rat!(1 / 2), rat!(3 / 4)], &family)
+            .unwrap();
+
+        let memo = artifact
+            .memos
+            .terms
+            .as_ref()
+            .expect("the artifact memoizes");
+        let keys: HashSet<TermId> = memo.fold(HashSet::new(), |mut keys, &id, _| {
+            keys.insert(id);
+            keys
+        });
+        let programs: Vec<CompiledFormula> = sats
+            .iter()
+            .chain([&family])
+            .map(|f| ctx.compile(f))
+            .collect();
+        let roots: HashSet<TermId> = programs.iter().map(CompiledFormula::root).collect();
+        let mut interior = 0;
+        for program in &programs {
+            for id in program.subterm_ids() {
+                let term = program.def(id).1;
+                if term.is_connective() && !roots.contains(&id) {
+                    interior += 1;
+                    assert!(!keys.contains(&id), "interior {term:?} is a memo key");
+                }
+            }
+        }
+        assert!(interior > 10, "only {interior} interior connectives");
+
+        for (f, set) in sats.iter().zip(&cold) {
+            assert!(
+                Arc::ptr_eq(set, &ctx.sat(f).unwrap()),
+                "a repeat of {f} is not the memo's set"
+            );
+        }
+        for program in &programs {
+            for id in program.subterm_ids() {
+                let term = program.def(id).1;
+                if roots.contains(&id) || !term.is_connective() {
+                    assert!(keys.contains(&id), "{term:?} is not a memo key");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! a [`FormulaArena`] — a shared, append-only table of distinct
 //! subterms with stable [`TermId`]s — so structural equality becomes
 //! integer-id equality and the evaluator can memoize satisfaction sets
-//! *per subterm* (the unified `logic.subterm_memo` in `EvalMemos`),
-//! not per whole formula.
+//! *per subterm* (the unified `logic.subterm_memo` in `EvalMemos`,
+//! which keeps roots, leaves and modal and temporal nodes), not per
+//! whole formula.
 //!
 //! Interning is structural and bottom-up: two formulas share a subterm
 //! id exactly when the subterms are equal ASTs — agents, thresholds,
@@ -185,6 +186,12 @@ impl Term {
 }
 
 impl Term {
+    /// Whether the term is a boolean connective (`¬`, `∧`, `∨`): one
+    /// word-wise pass over its children's sets.
+    pub(crate) fn is_connective(&self) -> bool {
+        matches!(self, Term::Not(_) | Term::And(_) | Term::Or(_))
+    }
+
     /// Calls `f` on each child, left to right: the order evaluation
     /// visits them.
     fn for_each_child(&self, mut f: impl FnMut(TermId)) {

@@ -153,10 +153,11 @@ impl<'a, 's> Model<'a, 's> {
         self.memos.terms.is_some()
     }
 
-    /// How many interned-subterm entries the unified memo holds
-    /// (compiled DAG nodes plus the set-level `K_i ⌜S⌝` /
-    /// `Pr_i ≥ α ⌜S⌝` queries that replaced the `(agent, set)` knows
-    /// keys).
+    /// How many interned-subterm entries the unified memo holds: the
+    /// compiled roots, leaves and modal and temporal nodes (a `¬`, `∧`
+    /// or `∨` below a root is recomputed, not kept) plus the set-level
+    /// `K_i ⌜S⌝` / `Pr_i ≥ α ⌜S⌝` queries that replaced the
+    /// `(agent, set)` knows keys.
     #[must_use]
     pub fn subterm_memo_len(&self) -> usize {
         self.memos.terms.as_ref().map_or(0, |m| m.len())
@@ -298,7 +299,8 @@ impl<'a, 's> Model<'a, 's> {
 
     /// [`Model::sat`] through the formula compiler: hash-cons `f` into
     /// the interned DAG and evaluate per distinct subterm, memoizing
-    /// each subterm's satisfaction set under its [`crate::TermId`].
+    /// the root's, each leaf's and each modal or temporal subterm's
+    /// satisfaction set under its [`crate::TermId`].
     /// Bit-identical to the tree walker by construction (same arm
     /// logic, same visit order, same error discovery); the knob exists
     /// so `tests/compile_differential.rs` can prove exactly that.

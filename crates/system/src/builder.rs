@@ -286,6 +286,7 @@ impl ProtocolBuilder {
         label: &str,
         mut branches: impl FnMut(&StepView<'_>) -> Vec<Branch>,
     ) -> ProtocolBuilder {
+        let _step_timer = kpa_trace::span!("system.protocol_step_ns");
         let agents = self.agents.clone();
         let clocked = self.clocked.clone();
         let time = self.time;
@@ -460,6 +461,7 @@ impl ProtocolBuilder {
     /// [`SystemBuilder::build`].
     pub fn build(self) -> Result<System, SystemError> {
         let mut sb = SystemBuilder::new(self.agents.clone());
+        let transfer_timer = kpa_trace::span!("system.node_transfer_ns");
         for proto in &self.trees {
             let tid = sb.add_tree(&proto.name);
             let mut ids = Vec::with_capacity(proto.nodes.len());
@@ -478,6 +480,7 @@ impl ProtocolBuilder {
                 ids.push(id);
             }
         }
+        drop(transfer_timer);
         sb.build()
     }
 }

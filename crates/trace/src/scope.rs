@@ -50,8 +50,9 @@ fn lookup_or_insert<T>(
 ///
 /// Metric handles are shared `Arc`s: look one up once and update it
 /// lock-free from any thread; the scope's maps are only locked on
-/// first registration and at snapshot time. See the [module
-/// docs](self) for how scopes differ from the global registry.
+/// first registration and at snapshot time. Unlike the global
+/// [`Registry`](crate::Registry), a scope drops its metrics with its
+/// owner and records whether or not tracing is on.
 #[derive(Debug, Default)]
 pub struct Scope {
     label: String,

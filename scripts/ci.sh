@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: the checks every PR must pass, runnable fully offline.
 #
-#   ./scripts/ci.sh          # fmt + build + examples + test + benchmark
-#                            # build and unit tests + bench gate + clippy
+#   ./scripts/ci.sh          # fmt + build + examples + test + rustdoc +
+#                            # benchmark build and unit tests + bench gate
+#                            # + clippy
 #   FUZZ=1 ./scripts/ci.sh   # additionally run the widened property sweeps
 #
 # FUZZ=1 multiplies the sharded property-test case counts ~5x
@@ -37,6 +38,12 @@ done
 # fuzzed, oversized, and mid-batch-disconnect frames never wedge it).
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
+
+# Every doc link must resolve, and no public doc may link a private
+# item. --lib leaves out the binaries, whose docs would collide with
+# kpa-serve's library.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --lib --offline"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline
 
 # The benchmark (kpabench/) is a package of its own that calls the
 # engine's public API. Building it and running its unit tests here makes

@@ -10,10 +10,10 @@
 
 mod common;
 
-use common::{arb_sync_spec, build, cases, prop_names};
+use common::{arb_async_spec, arb_sync_spec, build, cases, prop_names};
 use kpa::assign::{Assignment, ProbAssignment};
 use kpa::logic::{Formula, Model, ModelArtifact};
-use kpa::measure::{rat, Rat};
+use kpa::measure::{rat, Rat, Rng64};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -292,4 +292,104 @@ fn family_members_are_filed_under_both_spellings() {
             "Pr ≥ {alpha} swept again"
         );
     }
+}
+
+/// A random boolean combination of `props`, at most `depth`
+/// connectives deep: the shape of the bodies a cold query stream
+/// sends.
+fn arb_body(rng: &mut Rng64, props: &[String], depth: usize) -> Formula {
+    if depth == 0 || rng.chance(3, 10) {
+        let p = Formula::prop(rng.choose(props));
+        return if rng.chance(1, 4) { p.not() } else { p };
+    }
+    let (l, r) = (
+        arb_body(rng, props, depth - 1),
+        arb_body(rng, props, depth - 1),
+    );
+    let f = if rng.chance(1, 2) {
+        Formula::and([l, r])
+    } else {
+        Formula::or([l, r])
+    };
+    if rng.chance(1, 6) {
+        f.not()
+    } else {
+        f
+    }
+}
+
+/// Property: the artifact recomputes a `¬`, `∧` or `∨` below a root
+/// instead of memoizing it, and that changes no answer. Bodies come
+/// from a pool of four, so interior subterms repeat across the calls
+/// on one artifact; one body hides an unknown proposition under two
+/// interior connectives. Each call — `Pr ≥ α`, `K^α`, `K(φ ∨ ψ)`,
+/// `C_G(φ ∨ ψ)` or a threshold family — gets exactly the set or the
+/// error of a fresh memo-free tree walker.
+#[test]
+fn recomputed_connectives_match_fresh() {
+    let alphas = [rat!(1 / 4), rat!(1 / 3), rat!(1 / 2), rat!(2 / 3), Rat::ONE];
+    cases("memo_connectives", |rng| {
+        let spec = if rng.chance(1, 2) {
+            arb_sync_spec(rng)
+        } else {
+            arb_async_spec(rng)
+        };
+        let sys = build(&spec);
+        let mut props = prop_names(&spec);
+        props.extend((0..spec.rounds.len()).map(|k| format!("c{k}=t")));
+        let mut pool: Vec<Formula> = (0..3).map(|_| arb_body(rng, &props, 3)).collect();
+        pool.push(Formula::or([
+            arb_body(rng, &props, 1),
+            Formula::and([arb_body(rng, &props, 1), Formula::prop("no-such-prop")]).not(),
+        ]));
+        let agents: Vec<AgentId> = (0..spec.agents).map(AgentId).collect();
+        let post = ProbAssignment::new(&sys, Assignment::post());
+        let artifact = ModelArtifact::new(Arc::new(sys.clone()), Assignment::post());
+        let ctx = artifact.ctx();
+        for _ in 0..12 {
+            let f = rng.choose(&pool).clone();
+            let g = rng.choose(&pool).clone();
+            let i = *rng.choose(&agents);
+            let alpha = *rng.choose(&alphas);
+            let fresh = Model::with_memos(&post, false, true, true);
+            let query = match rng.index(5) {
+                0 => f.pr_ge(i, alpha),
+                1 => f.k_alpha(i, alpha),
+                2 => Formula::or([f, g]).known_by(i),
+                3 => Formula::or([f, g]).common(agents.iter().copied()),
+                _ => {
+                    let family = ctx.pr_ge_family(i, &alphas, &f);
+                    let serial: Result<Vec<_>, _> = alphas
+                        .iter()
+                        .map(|&a| fresh.sat(&f.clone().pr_ge(i, a)))
+                        .collect();
+                    match (family, serial) {
+                        (Ok(got), Ok(want)) => {
+                            assert!(
+                                got.iter().zip(&want).all(|(g, w)| **g == **w),
+                                "the family over {f} disagrees with a fresh model"
+                            );
+                        }
+                        (got, want) => assert_eq!(
+                            got.err(),
+                            want.err(),
+                            "the family over {f} errs unlike a fresh model"
+                        ),
+                    }
+                    continue;
+                }
+            };
+            match (ctx.sat(&query), fresh.sat(&query)) {
+                (Ok(got), Ok(want)) => assert_eq!(
+                    *got, *want,
+                    "the artifact disagrees with a fresh model on {query}"
+                ),
+                (got, want) => assert_eq!(
+                    got.err(),
+                    want.err(),
+                    "the artifact errs unlike a fresh model on {query}"
+                ),
+            }
+        }
+    });
 }

@@ -10,8 +10,10 @@
 //! again, and every result is asserted bit-identical across the runs.
 //! The traced run also exercises the span-tree recorder (records at
 //! instrumented sites, including the engine's `K_i` and `Pr_i ≥ α`
-//! sweeps, and trace-id stitching) and the rolling-window histograms,
-//! and the off phases assert neither records anything.
+//! sweeps and a protocol build's steps, node transfer and system build,
+//! and trace-id stitching) and the rolling-window histograms, and the
+//! off phases assert neither records anything; the built system is
+//! compared point by point across the runs.
 //!
 //! A second test pins the histogram's log₂ bucketing at the edges
 //! (0, 1, powers of two, `u64::MAX`) through the public
@@ -23,7 +25,7 @@ use kpa::betting::{simulate_average_winnings, BetRule, BettingGame, Strategy};
 use kpa::logic::{Formula, Model, PointSet};
 use kpa::measure::{rat, Rat, Rng64};
 use kpa::protocols::{async_coin_tosses, ca1, recent_heads, secret_coin};
-use kpa::system::AgentId;
+use kpa::system::{AgentId, System};
 use kpa::trace::{
     ambient_guard, bucket_floor, bucket_of, next_trace_id, set_enabled, snapshot_span_records,
     stitch_span_trees, take_span_records, BUCKETS,
@@ -32,6 +34,9 @@ use kpa::trace::{
 /// Everything the workload computes, in exact (bit-comparable) form.
 #[derive(PartialEq)]
 struct Outcome {
+    /// The `async_coin_tosses` system the workload builds, as
+    /// [`shape`] spells it.
+    tosses: Vec<String>,
     /// Satisfaction sets of the formula family, in order.
     sats: Vec<PointSet>,
     /// `(inf, sup)` probability intervals at every point for the
@@ -47,6 +52,30 @@ struct Outcome {
     /// The raw RNG stream after the simulation (tracing must not
     /// consume random numbers).
     rng_tail: Vec<u64>,
+}
+
+/// A built system in comparable form: each point's local states and
+/// true propositions, then each tree's run probabilities.
+fn shape(sys: &System) -> Vec<String> {
+    let mut out: Vec<String> = sys
+        .points()
+        .map(|c| {
+            let locals: Vec<&str> = (0..sys.agent_count())
+                .map(|a| sys.local_name(AgentId(a), c))
+                .collect();
+            let props: Vec<&str> = sys
+                .prop_names()
+                .into_iter()
+                .filter(|name| sys.holds(sys.prop_id(name).expect("named"), c))
+                .collect();
+            format!("{c:?} {locals:?} {props:?}")
+        })
+        .collect();
+    out.extend(
+        sys.tree_ids()
+            .map(|t| format!("{t:?} {:?}", sys.run_probs(t))),
+    );
+    out
 }
 
 /// One representative query per instrumented layer, all exact.
@@ -136,6 +165,7 @@ fn workload() -> Outcome {
     let rng_tail = (0..8).map(|_| rng.next_u64()).collect();
 
     Outcome {
+        tosses: shape(&tosses),
         sats,
         intervals,
         prop10,
@@ -148,6 +178,7 @@ fn workload() -> Outcome {
 /// Asserts two outcomes identical, component-by-component (so a
 /// failure names the layer that drifted).
 fn assert_same(label: &str, a: &Outcome, b: &Outcome) {
+    assert!(a.tosses == b.tosses, "{label}: the system build drifted");
     assert!(a.sats == b.sats, "{label}: satisfaction sets drifted");
     assert!(
         a.intervals == b.intervals,
@@ -215,10 +246,18 @@ fn tracing_is_observationally_invisible() {
     );
     assert!(report.windowed["invisibility.workload_ns"].p50.is_some());
     let (on_spans, _) = snapshot_span_records();
-    assert!(
-        on_spans.iter().any(|r| r.site == "system.build_ns"),
-        "the traced run must record span records at instrumented sites"
-    );
+    // A protocol build records its steps, the move of its nodes into
+    // the system builder, and the system build.
+    for site in [
+        "system.protocol_step_ns",
+        "system.node_transfer_ns",
+        "system.build_ns",
+    ] {
+        assert!(
+            on_spans.iter().any(|r| r.site == site),
+            "the traced run must record span records at {site}"
+        );
+    }
     assert!(
         on_spans
             .iter()
